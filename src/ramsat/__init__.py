@@ -39,9 +39,12 @@ from .graphs import (
 )
 from .search import (
     DEFAULT_MAX_N,
+    BadColoringError,
+    Decision,
     DeletionResult,
     RamseyQuery,
     RamseyResult,
+    decide,
     deletion_bound_check,
     extend_coloring,
     good_coloring,
@@ -52,12 +55,14 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BadColoringError",
     "BudgetExceededError",
     "CnfFormula",
     "Color",
     "ColoringDocument",
     "DEFAULT_DECISION_BUDGET",
     "DEFAULT_MAX_N",
+    "Decision",
     "DeletedEdgeGraph",
     "DeletionResult",
     "DocumentError",
@@ -72,6 +77,7 @@ __all__ = [
     "TheoremViolationError",
     "Verdict",
     "brute_force_good_coloring",
+    "decide",
     "decode",
     "deletion_bound_check",
     "edge",

@@ -19,15 +19,17 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .cnf import decode, encode, export_dimacs
-from .coloring import is_good
+from .cnf import export_dimacs
+from .coloring import Verdict, is_good
 from .document import ColoringDocument
-from .dpll import DEFAULT_DECISION_BUDGET, SolveStatus, solve
+from .dpll import DEFAULT_DECISION_BUDGET, SolveStatus
 from .errors import BudgetExceededError, DocumentError, SearchExhaustedError
 from .graphs import DeletedEdgeGraph, Edge
 from .search import (
     DEFAULT_MAX_N,
+    BadColoringError,
     RamseyQuery,
+    decide,
     extend_coloring,
     min_deletions,
     ramsey_number,
@@ -152,6 +154,12 @@ def _format_edge(e: Edge) -> str:
     return f"{e[0]}-{e[1]}"
 
 
+def _bad_line(verdict: Verdict) -> str:
+    color, clique = verdict.witness
+    vertices = ",".join(str(v) for v in clique)
+    return f"BAD: {color.value} K_{len(clique)} on {{{vertices}}}"
+
+
 def cmd_number(args: argparse.Namespace) -> int:
     query = RamseyQuery(args.s, args.t)
     try:
@@ -170,20 +178,18 @@ def cmd_number(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     graph = DeletedEdgeGraph(args.n, tuple(args.delete))
-    formula = encode(graph, args.s, args.t)
+    decision = decide(graph, args.s, args.t, budget=args.budget)
     if args.dimacs:
-        _write(args.dimacs, export_dimacs(formula))
-    result = solve(formula, args.budget)
-    if result.status is SolveStatus.BUDGET_EXCEEDED:
+        _write(args.dimacs, export_dimacs(decision.formula))
+    if decision.status is SolveStatus.BUDGET_EXCEEDED:
         print("BUDGET EXCEEDED")
         return EXIT_BUDGET
-    if result.status is SolveStatus.UNSAT:
+    if decision.status is SolveStatus.UNSAT:
         print("UNSAT")
         return EXIT_NEGATIVE
     print("SAT")
     if args.json:
-        coloring = decode(result.model, graph)
-        _write(args.json, ColoringDocument.from_coloring(coloring).to_json_text())
+        _write(args.json, ColoringDocument.from_coloring(decision.coloring).to_json_text())
     return EXIT_OK
 
 
@@ -193,26 +199,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if verdict.good:
         print("GOOD")
         return EXIT_OK
-    color, clique = verdict.witness
-    vertices = ",".join(str(v) for v in clique)
-    print(f"BAD: {color.value} K_{len(clique)} on {{{vertices}}}")
+    print(_bad_line(verdict))
     return EXIT_NEGATIVE
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    document = _load_document(args.json_path)
-    if document.deleted_edges:
-        raise DocumentError("extension starts from a complete graph")
-    coloring = document.to_coloring()
-    if not 0 <= args.vertex < document.n:
-        raise DocumentError(f"vertex {args.vertex} is not a vertex of K_{document.n}")
-    verdict = is_good(coloring, args.s, args.t)
-    if not verdict.good:
-        color, clique = verdict.witness
-        vertices = ",".join(str(v) for v in clique)
-        print(f"BAD: {color.value} K_{len(clique)} on {{{vertices}}}")
+    coloring = _load_document(args.json_path).to_coloring()
+    try:
+        extended = extend_coloring(coloring, args.vertex, args.s, args.t)
+    except BadColoringError as exc:
+        print(_bad_line(exc.verdict))
         return EXIT_NEGATIVE
-    extended = extend_coloring(coloring, args.vertex, args.s, args.t)
     deleted = extended.graph.deleted[0]
     _write(args.out, ColoringDocument.from_coloring(extended).to_json_text())
     print(f"deleted edge {_format_edge(deleted)}")
@@ -220,8 +217,6 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def cmd_min_deletions(args: argparse.Namespace) -> int:
-    if args.p < 2:
-        raise DocumentError("p must be at least 2")
     query = RamseyQuery(args.s, args.t)
     k_max = args.p - 1 if args.max_k is None else args.max_k
     try:

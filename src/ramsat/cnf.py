@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .coloring import Color, EdgeColoring
 from .graphs import DeletedEdgeGraph, Edge, k_subsets, subset_is_clique
@@ -27,9 +27,8 @@ class CnfFormula:
 
     Variables 1..len(var_map) stand for the present edges of the source
     graph in lexicographic order (var_map[v-1] is the edge of variable v);
-    when nothing is deleted this is edge_index + 1.  Variables above
-    len(var_map) are auxiliary counter variables from the optional
-    degree-ordering constraints.  Literals are signed integers.
+    when nothing is deleted this is edge_index + 1.  Literals are signed
+    integers.
     """
 
     num_vars: int
@@ -53,18 +52,13 @@ class CnfFormula:
                     raise ValueError(f"variable {var} appears twice in a clause")
                 seen.add(var)
 
-    def var_of(self, e: Edge) -> int:
-        return self.var_map.index(e) + 1
 
-
-def encode(
-    graph: DeletedEdgeGraph, s: int, t: int, *, degree_ordering: bool = False
-) -> CnfFormula:
+def encode(graph: DeletedEdgeGraph, s: int, t: int) -> CnfFormula:
     """Build the clause set whose models are the good colorings of graph.
 
     Clause order is fixed: all red-blocking clauses in subset order, then
-    all blue-blocking clauses in subset order, then (if requested) the
-    degree-ordering clauses.  Identical inputs give identical formulas.
+    all blue-blocking clauses in subset order.  Identical inputs give
+    identical formulas.
     """
     if graph.p < 1:
         raise ValueError("graph must have at least one vertex")
@@ -79,17 +73,14 @@ def encode(
     for subset in k_subsets(graph.p, t):
         if subset_is_clique(graph, subset):
             clauses.append(tuple(var_of[pair] for pair in combinations(subset, 2)))
-    num_vars = len(present)
-    if degree_ordering:
-        num_vars = _append_degree_ordering(graph, var_of, num_vars, clauses)
-    return CnfFormula(num_vars, tuple(clauses), tuple(present))
+    return CnfFormula(len(present), tuple(clauses), tuple(present))
 
 
 def decode(assignment: Mapping[int, bool], graph: DeletedEdgeGraph) -> EdgeColoring:
     """Turn a model back into a coloring: edge red iff its variable is true.
 
-    Auxiliary variables beyond the edge range are ignored; a missing edge
-    variable is an error.
+    Variables beyond the edge range are ignored; a missing edge variable
+    is an error.
     """
     colors: dict[Edge, Color] = {}
     for i, e in enumerate(graph.present_edges()):
@@ -114,80 +105,3 @@ def export_dimacs(formula: CnfFormula) -> str:
     for clause in formula.clauses:
         lines.append(" ".join([*map(str, clause), "0"]))
     return "\n".join(lines) + "\n"
-
-
-def _totalizer(
-    lits: list[int],
-    new_var: Callable[[], int],
-    clauses: list[tuple[int, ...]],
-) -> list[int]:
-    """Two-sided unary counter over the given literals.
-
-    Returns output literals o_1..o_n where, in every model, o_j is true iff
-    at least j of the inputs are true.  Built by splitting the inputs in
-    half and merging the child counters.
-    """
-    if len(lits) == 1:
-        return lits[:]
-    mid = len(lits) // 2
-    left = _totalizer(lits[:mid], new_var, clauses)
-    right = _totalizer(lits[mid:], new_var, clauses)
-    la, lb = len(left), len(right)
-    out = [new_var() for _ in range(la + lb)]
-    for i in range(la + 1):
-        for j in range(lb + 1):
-            # left count >= i and right count >= j force total >= i+j
-            if i + j >= 1:
-                clause = []
-                if i:
-                    clause.append(-left[i - 1])
-                if j:
-                    clause.append(-right[j - 1])
-                clause.append(out[i + j - 1])
-                clauses.append(tuple(clause))
-            # total >= i+j+1 forces left >= i+1 or right >= j+1
-            if i + j + 1 <= la + lb:
-                clause = [-out[i + j]]
-                if i < la:
-                    clause.append(left[i])
-                if j < lb:
-                    clause.append(right[j])
-                clauses.append(tuple(clause))
-    return out
-
-
-def _append_degree_ordering(
-    graph: DeletedEdgeGraph,
-    var_of: dict[Edge, int],
-    num_vars: int,
-    clauses: list[tuple[int, ...]],
-) -> int:
-    """Constrain red degrees to be non-decreasing in the vertex index.
-
-    Sound only on complete graphs: every permutation of K_p's vertices maps
-    good colorings to good colorings, so some good coloring (if any) has
-    sorted red degrees.  Deleting edges breaks that symmetry, hence the
-    guard.  Returns the new variable count after the counter variables.
-    """
-    if graph.deleted:
-        raise ValueError("degree ordering requires a complete graph")
-    counter = num_vars
-
-    def new_var() -> int:
-        nonlocal counter
-        counter += 1
-        return counter
-
-    outputs = []
-    for v in range(graph.p):
-        incident = [
-            var_of[(v, u) if v < u else (u, v)] for u in range(graph.p) if u != v
-        ]
-        outputs.append(_totalizer(incident, new_var, clauses))
-    for v in range(graph.p - 1):
-        lower, higher = outputs[v], outputs[v + 1]
-        for j in range(len(lower)):
-            if lower[j] == higher[j]:
-                continue  # p = 2: both degrees are the same single edge
-            clauses.append((-lower[j], higher[j]))
-    return counter

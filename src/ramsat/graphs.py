@@ -86,16 +86,6 @@ class DeletedEdgeGraph:
         object.__setattr__(self, "deleted", canonical)
         object.__setattr__(self, "_deleted_set", frozenset(canonical))
 
-    @classmethod
-    def complete(cls, p: int) -> "DeletedEdgeGraph":
-        return cls(p)
-
-    def is_present(self, e: Edge) -> bool:
-        u, v = e
-        if not 0 <= u < v < self.p:
-            raise ValueError(f"({u},{v}) is not a canonical edge of K_{self.p}")
-        return e not in self._deleted_set
-
     def present_edges(self) -> list[Edge]:
         """The surviving edges, in lexicographic order."""
         gone = self._deleted_set
@@ -105,9 +95,6 @@ class DeletedEdgeGraph:
             for v in range(u + 1, self.p)
             if (u, v) not in gone
         ]
-
-    def num_present_edges(self) -> int:
-        return edge_count(self.p) - len(self.deleted)
 
 
 def subset_is_clique(graph: DeletedEdgeGraph, vertices: Iterable[int]) -> bool:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .cnf import decode, encode
-from .coloring import EdgeColoring, is_good
+from .cnf import CnfFormula, decode, encode
+from .coloring import EdgeColoring, Verdict, is_good
 from .dpll import DEFAULT_DECISION_BUDGET, SolveStatus, solve
 from .errors import BudgetExceededError, SearchExhaustedError, TheoremViolationError
 from .graphs import DeletedEdgeGraph, Edge, edge_count, index_to_edge
@@ -49,6 +49,52 @@ class DeletionResult:
     coloring: EdgeColoring
 
 
+@dataclass(frozen=True)
+class Decision:
+    """One decided instance: the solver's status, the formula it solved,
+    and, only when SAT, the coloring after re-verification."""
+
+    status: SolveStatus
+    formula: CnfFormula
+    coloring: Optional[EdgeColoring]
+
+
+class BadColoringError(ValueError):
+    """An input coloring is not good; `verdict` carries the witness clique."""
+
+    def __init__(self, verdict: Verdict) -> None:
+        color, clique = verdict.witness
+        super().__init__(f"input coloring is not good: {color.value} clique on {clique}")
+        self.verdict = verdict
+
+
+def decide(
+    graph: DeletedEdgeGraph,
+    s: int,
+    t: int,
+    *,
+    budget: int = DEFAULT_DECISION_BUDGET,
+) -> Decision:
+    """Encode, solve, decode, and re-verify one instance.
+
+    A SAT model is decoded and re-checked by the subset-walking verifier;
+    a model that decodes to a bad coloring raises TheoremViolationError,
+    so the only coloring a Decision can hold is a verified one.
+    """
+    formula = encode(graph, s, t)
+    result = solve(formula, budget)
+    if result.status is not SolveStatus.SAT:
+        return Decision(result.status, formula, None)
+    coloring = decode(result.model, graph)
+    # a satisfiable encoding implies s, t >= 2, so the verifier applies
+    verdict = is_good(coloring, s, t)
+    if not verdict.good:
+        raise TheoremViolationError(
+            f"solver model for K_{graph.p} decoded to a bad coloring: {verdict.witness}"
+        )
+    return Decision(result.status, formula, coloring)
+
+
 def good_coloring(
     n: int,
     s: int,
@@ -57,30 +103,18 @@ def good_coloring(
     *,
     budget: int = DEFAULT_DECISION_BUDGET,
 ) -> Optional[EdgeColoring]:
-    """Find a good coloring of K_n minus the deleted edges, or None.
+    """Find a verified good coloring of K_n minus the deleted edges, or None.
 
-    Encodes, solves, decodes, and re-verifies the result with the
-    subset-walking checker before returning it.  A budgeted-out solve
-    raises BudgetExceededError rather than guessing.
+    A budgeted-out solve raises BudgetExceededError rather than guessing.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    graph = DeletedEdgeGraph(n, tuple(deleted))
-    result = solve(encode(graph, s, t), budget)
-    if result.status is SolveStatus.BUDGET_EXCEEDED:
+    decision = decide(DeletedEdgeGraph(n, tuple(deleted)), s, t, budget=budget)
+    if decision.status is SolveStatus.BUDGET_EXCEEDED:
         raise BudgetExceededError(
             f"budget of {budget} decisions exceeded at n = {n}"
         )
-    if result.status is SolveStatus.UNSAT:
-        return None
-    coloring = decode(result.model, graph)
-    # a satisfiable encoding implies s, t >= 2, so the verifier applies
-    verdict = is_good(coloring, s, t)
-    if not verdict.good:
-        raise TheoremViolationError(
-            f"solver model for K_{n} decoded to a bad coloring: {verdict.witness}"
-        )
-    return coloring
+    return decision.coloring
 
 
 def ramsey_number(
@@ -120,8 +154,8 @@ def extend_coloring(
     is the deleted one.  No clique of the result contains both twins, so
     any monochromatic clique would map back into the input coloring; the
     output is therefore good whenever the input is, and is re-verified
-    anyway.  A failed re-verification is an internal contradiction and
-    raises TheoremViolationError.
+    anyway.  A bad input raises BadColoringError; a failed re-verification
+    is an internal contradiction and raises TheoremViolationError.
     """
     graph = coloring.graph
     if graph.deleted:
@@ -131,10 +165,7 @@ def extend_coloring(
         raise ValueError(f"vertex {vertex} is not a vertex of K_{old_p}")
     verdict = is_good(coloring, s, t)
     if not verdict.good:
-        color, clique = verdict.witness
-        raise ValueError(
-            f"input coloring is not good: {color.value} clique on {clique}"
-        )
+        raise BadColoringError(verdict)
     twin = old_p
     extended_graph = DeletedEdgeGraph(old_p + 1, ((vertex, twin),))
     assignment = dict(coloring.assignment)

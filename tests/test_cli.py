@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
-from ramsat import ColoringDocument, is_good
+import ramsat.search
+from ramsat import ColoringDocument, TheoremViolationError, is_good
 from ramsat.cli import main
 from .conftest import C5_RED, make_coloring
 
@@ -117,6 +120,14 @@ class TestSolve:
         assert main(["solve", "-n", "6", "-s", "3", "-t", "3", "--delete", "0-9"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_json_never_written_unverified(self, tmp_path, monkeypatch):
+        all_red = make_coloring(5, set(combinations(range(5), 2)))
+        monkeypatch.setattr(ramsat.search, "decode", lambda model, graph: all_red)
+        coloring_path = tmp_path / "coloring.json"
+        with pytest.raises(TheoremViolationError):
+            main(["solve", "-n", "5", "-s", "3", "-t", "3", "--json", str(coloring_path)])
+        assert not coloring_path.exists()
+
 
 class TestVerify:
     def test_good(self, tmp_path, capsys):
@@ -174,7 +185,7 @@ class TestExtend:
              "--out", str(out_path)]
         )
         assert code == 1
-        assert capsys.readouterr().out.startswith("BAD:")
+        assert capsys.readouterr().out == "BAD: red K_3 on {0,1,2}\n"
         assert not out_path.exists()
 
     def test_rejects_deleted_edge_input(self, tmp_path, capsys):
@@ -228,6 +239,8 @@ class TestMinDeletions:
 
     def test_invalid_max_k(self, capsys):
         assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "4", "--max-k", "9"]) == 2
+        assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "1"]) == 2
+        assert "p must be at least 2" in capsys.readouterr().err
 
 
 class TestExportDot:

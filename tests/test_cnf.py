@@ -1,4 +1,4 @@
-"""Encoder, decoder, DIMACS export, and the degree-ordering constraints."""
+"""Encoder, decoder, and DIMACS export."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from ramsat import (
     Color,
     DeletedEdgeGraph,
     EdgeColoring,
-    brute_force_good_coloring,
     decode,
     encode,
     export_dimacs,
@@ -58,11 +57,6 @@ class TestCnfFormula:
     def test_rejects_var_map_overflow(self):
         with pytest.raises(ValueError):
             CnfFormula(1, (), ((0, 1), (0, 2)))
-
-    def test_var_of(self):
-        formula = encode(DeletedEdgeGraph(4), 3, 3)
-        assert formula.var_of((0, 1)) == 1
-        assert formula.var_of((2, 3)) == 6
 
 
 class TestEncode:
@@ -197,46 +191,3 @@ class TestExportDimacs:
         lines = export_dimacs(encode(DeletedEdgeGraph(4), 3, 3)).splitlines()
         header = lines.index("p cnf 6 8")
         assert all(line.startswith("c var") for line in lines[:header])
-
-
-class TestDegreeOrdering:
-    def test_preserves_satisfiability_on_small_graphs(self):
-        for p, s, t in ((3, 2, 3), (4, 3, 3), (5, 3, 3), (4, 2, 3), (5, 2, 4)):
-            graph = DeletedEdgeGraph(p)
-            oracle = brute_force_good_coloring(graph, s, t) is not None
-            plain = solve(encode(graph, s, t)).is_sat
-            broken = solve(encode(graph, s, t, degree_ordering=True)).is_sat
-            assert plain == oracle
-            assert broken == oracle
-
-    def test_model_has_sorted_red_degrees(self):
-        graph = DeletedEdgeGraph(5)
-        formula = encode(graph, 3, 3, degree_ordering=True)
-        result = solve(formula)
-        assert result.is_sat
-        coloring = decode(result.model, graph)
-        assert is_good(coloring, 3, 3).good
-        degrees = [
-            sum(
-                1
-                for q in range(5)
-                if q != v and coloring.assignment[(min(v, q), max(v, q))] is Color.RED
-            )
-            for v in range(5)
-        ]
-        assert degrees == sorted(degrees)
-
-    def test_adds_auxiliary_variables(self):
-        formula = encode(DeletedEdgeGraph(5), 3, 3, degree_ordering=True)
-        assert formula.num_vars > len(formula.var_map) == 10
-
-    def test_two_vertices_no_tautology(self):
-        formula = encode(DeletedEdgeGraph(2), 2, 2, degree_ordering=True)
-        assert solve(formula).status.name == "UNSAT"
-
-    def test_rejected_on_deleted_edges(self):
-        with pytest.raises(ValueError):
-            encode(DeletedEdgeGraph(6, ((0, 5),)), 3, 3, degree_ordering=True)
-
-    def test_unsat_stays_unsat(self):
-        assert not solve(encode(DeletedEdgeGraph(6), 3, 3, degree_ordering=True)).is_sat

@@ -7,12 +7,15 @@ import random
 import pytest
 
 from ramsat import (
+    BadColoringError,
     BudgetExceededError,
     Color,
     DeletedEdgeGraph,
     EdgeColoring,
     RamseyQuery,
     SearchExhaustedError,
+    SolveStatus,
+    decide,
     deletion_bound_check,
     extend_coloring,
     good_coloring,
@@ -21,6 +24,19 @@ from ramsat import (
     ramsey_number,
 )
 from .conftest import make_coloring
+
+
+class TestDecide:
+    def test_each_status_keeps_its_formula(self):
+        sat = decide(DeletedEdgeGraph(5), 3, 3)
+        assert sat.status is SolveStatus.SAT
+        assert is_good(sat.coloring, 3, 3).good
+        unsat = decide(DeletedEdgeGraph(6), 3, 3)
+        assert (unsat.status, unsat.coloring) == (SolveStatus.UNSAT, None)
+        assert len(unsat.formula.clauses) == 40
+        cut = decide(DeletedEdgeGraph(6), 3, 3, budget=2)
+        assert (cut.status, cut.coloring) == (SolveStatus.BUDGET_EXCEEDED, None)
+        assert cut.formula == unsat.formula
 
 
 class TestGoodColoring:
@@ -129,8 +145,9 @@ class TestExtendColoring:
             extend_coloring(base, 0, 3, 3)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError, match="not good"):
+        with pytest.raises(BadColoringError, match="not good") as excinfo:
             extend_coloring(make_coloring(3, set()), 0, 3, 3)
+        assert excinfo.value.verdict.witness == (Color.BLUE, (0, 1, 2))
 
     def test_rejects_missing_vertex(self, c5_coloring):
         with pytest.raises(ValueError, match="vertex 5"):
