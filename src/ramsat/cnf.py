@@ -13,12 +13,17 @@ formula is unsatisfiable on any graph with a vertex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
 from .coloring import Color, EdgeColoring
 from .graphs import DeletedEdgeGraph, Edge, k_subsets, subset_is_clique
+
+# Largest clause count encode will build.  The biggest instance the
+# classical questions need, K_14 at (3,5), has 2,366 clauses.
+MAX_CLAUSES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -58,12 +63,20 @@ def encode(graph: DeletedEdgeGraph, s: int, t: int) -> CnfFormula:
 
     Clause order is fixed: all red-blocking clauses in subset order, then
     all blue-blocking clauses in subset order.  Identical inputs give
-    identical formulas.
+    identical formulas.  An instance that could need more than MAX_CLAUSES
+    clauses, counting C(p,s) + C(p,t) before deletions, raises ValueError
+    before any clause is built.
     """
     if graph.p < 1:
         raise ValueError("graph must have at least one vertex")
     if s < 1 or t < 1:
         raise ValueError("clique sizes must be at least 1")
+    bound = math.comb(graph.p, s) + math.comb(graph.p, t)
+    if bound > MAX_CLAUSES:
+        raise ValueError(
+            f"K_{graph.p} at ({s},{t}) needs up to {bound:,} clauses, "
+            f"over the limit of {MAX_CLAUSES:,}"
+        )
     present = graph.present_edges()
     var_of = {e: i + 1 for i, e in enumerate(present)}
     clauses: list[tuple[int, ...]] = []

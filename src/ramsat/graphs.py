@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -59,6 +59,70 @@ def k_subsets(p: int, k: int) -> Iterator[tuple[int, ...]]:
     if k < 0:
         raise ValueError("subset size must be non-negative")
     return combinations(range(p), k)
+
+
+def deletion_classes(p: int, k: int) -> list[tuple[int, ...]]:
+    """One k-edge set of K_p per isomorphism class, in lexicographic order.
+
+    A class is represented by its lex-least member: the sorted edge-index
+    tuple that is smallest over all relabellings of the p vertices.  The
+    representatives are built by orderly generation (Read 1978; McKay
+    1998): each level-k one is a level-(k-1) one with a larger index
+    appended, kept only if it is lex-least.  Dropping the largest index of
+    a lex-least set leaves a lex-least set, so every class is reached, and
+    from exactly one parent.
+    """
+    if k < 0:
+        raise ValueError("deletion count must be non-negative")
+    m = edge_count(p)
+    level: list[tuple[int, ...]] = [()]
+    for _ in range(k):
+        level = [
+            rep + (i,)
+            for rep in level
+            for i in range(rep[-1] + 1 if rep else 0, m)
+            if _is_lex_least(rep + (i,), p)
+        ]
+    return level
+
+
+def _is_lex_least(indices: tuple[int, ...], p: int) -> bool:
+    """Whether no relabelling of K_p maps these edges to a smaller tuple.
+
+    Labels are handed out in order: each processed vertex gives its
+    unlabelled neighbours the next free labels, in every order, and a new
+    component may start at any unlabelled endpoint.  A lex-least image
+    always arises this way, so the search misses none of them; a branch
+    is cut as soon as its edges, placed block by block, sort above or
+    below the input's.
+    """
+    target = [index_to_edge(i, p) for i in indices]
+    neighbours: dict[int, list[int]] = {}
+    for u, v in target:
+        neighbours.setdefault(u, []).append(v)
+        neighbours.setdefault(v, []).append(u)
+
+    def beaten(order: list[int], done: int, pos: int) -> bool:
+        # order[j] is the vertex labelled j; the labels below `done` have
+        # placed their edges to higher labels, and those equal target[:pos]
+        if done == len(order):
+            starts = [w for w in neighbours if w not in order]
+            return any(beaten(order + [w], done, pos) for w in starts)
+        label = {w: j for j, w in enumerate(order)}
+        vertex = order[done]
+        fresh = [w for w in neighbours[vertex] if w not in label]
+        later = [label[w] for w in neighbours[vertex] if label.get(w, -1) > done]
+        later += range(len(order), len(order) + len(fresh))
+        block = [(done, b) for b in sorted(later)]
+        end = pos + len(block)
+        if block != target[pos:end]:
+            return block < target[pos:end]
+        return any(
+            beaten(order + list(ordering), done + 1, end)
+            for ordering in permutations(fresh)
+        )
+
+    return not beaten([], 0, 0)
 
 
 @dataclass(frozen=True)

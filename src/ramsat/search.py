@@ -8,14 +8,13 @@ for the small classical numbers, so its default ceiling is n_max = 14.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .cnf import CnfFormula, decode, encode
 from .coloring import EdgeColoring, Verdict, is_good
 from .dpll import DEFAULT_DECISION_BUDGET, SolveStatus, solve
 from .errors import BudgetExceededError, SearchExhaustedError, TheoremViolationError
-from .graphs import DeletedEdgeGraph, Edge, edge_count, index_to_edge
+from .graphs import DeletedEdgeGraph, Edge, deletion_classes, edge_count, index_to_edge
 
 DEFAULT_MAX_N = 14
 
@@ -125,8 +124,9 @@ def ramsey_number(
 ) -> RamseyResult:
     """Walk n = 1, 2, ..., n_max until K_n has no good coloring.
 
-    The witness is the good coloring found at p - 1 (None when p = 1,
-    where K_0... there is nothing to color: a red K_1 needs only a vertex).
+    The witness is the good coloring found at p - 1.  It is None when
+    p = 1: then s or t is 1, a single vertex is already a monochromatic
+    K_1, and K_0 has no edges to color.
     Raises SearchExhaustedError if every n up to n_max still has a good
     coloring, and lets the solver's BudgetExceededError (which names n)
     propagate.
@@ -194,9 +194,17 @@ def min_deletions(
 ) -> DeletionResult:
     """Fewest deletions from K_p that admit a good coloring, up to k_max.
 
-    Deletion sets of each size are tried in lexicographic order of edge
-    indices, so the reported set is the first minimal one.  Raises
-    SearchExhaustedError when k_max deletions are still not enough.
+    Relabelling the vertices of K_p maps good colorings to good colorings,
+    so whether K_p minus D is colorable depends only on the isomorphism
+    class of the deletion graph D.  For each size k the search therefore
+    solves one set per class: the class's lex-least sorted edge-index
+    tuple, taken in increasing order (`deletion_classes`).  The first
+    colorable representative is the lex-first minimal set overall: every
+    set before it lies in a class whose representative comes earlier
+    still, and that representative was not colorable.  It is solved as the
+    same formula a scan of all C(m,k) sets would solve, so the coloring is
+    the same too.  Raises SearchExhaustedError when k_max deletions are
+    still not enough.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -204,7 +212,7 @@ def min_deletions(
     if not 0 <= k_max <= m:
         raise ValueError(f"k_max must be between 0 and {m}")
     for k in range(k_max + 1):
-        for indices in combinations(range(m), k):
+        for indices in deletion_classes(p, k):
             deleted = tuple(index_to_edge(i, p) for i in indices)
             coloring = good_coloring(p, query.s, query.t, deleted, budget=budget)
             if coloring is not None:

@@ -92,6 +92,17 @@ class TestSolve:
         lines = dimacs_path.read_text(encoding="utf-8").splitlines()
         assert "p cnf 14 32" in lines
 
+    def test_oversized_instance_refused(self, tmp_path, capsys):
+        # about 2.7 billion clauses: refused before any is built
+        dimacs_path = tmp_path / "huge.cnf"
+        assert main(
+            ["solve", "-n", "2000", "-s", "3", "-t", "3", "--dimacs", str(dimacs_path)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "over the limit" in captured.err
+        assert not dimacs_path.exists()
+
     def test_delete_accepts_reversed_endpoints(self, capsys):
         assert main(["solve", "-n", "6", "-s", "3", "-t", "3", "--delete", "5-0"]) == 0
 
@@ -217,6 +228,10 @@ class TestMinDeletions:
     def test_k5_none_needed(self, capsys):
         assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "5"]) == 0
         assert capsys.readouterr().out == "e = 0\ndeleted: none\n"
+
+    def test_k9_four_deletions(self, capsys):
+        assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "9"]) == 0
+        assert capsys.readouterr().out == "e = 4\ndeleted: 0-1 2-3 4-5 6-7\n"
 
     def test_writes_coloring(self, tmp_path, capsys):
         out = tmp_path / "coloring.json"

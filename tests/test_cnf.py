@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import ramsat.cnf
 from ramsat import (
     CnfFormula,
     Color,
@@ -116,6 +117,15 @@ class TestEncode:
     def test_size_zero_rejected(self):
         with pytest.raises(ValueError):
             encode(DeletedEdgeGraph(3), 0, 3)
+
+    def test_clause_limit_checked_before_building(self, monkeypatch):
+        # K_6 at (3,3) can need C(6,3) + C(6,3) = 40 clauses
+        monkeypatch.setattr(ramsat.cnf, "MAX_CLAUSES", 40)
+        assert len(encode(DeletedEdgeGraph(6), 3, 3).clauses) == 40
+        # the bound ignores deletions: this graph has only 32 clique triples
+        monkeypatch.setattr(ramsat.cnf, "MAX_CLAUSES", 39)
+        with pytest.raises(ValueError, match="over the limit of 39"):
+            encode(DeletedEdgeGraph(6, ((0, 1),)), 3, 3)
 
     def test_soundness_exhaustive_k4(self):
         # every assignment satisfies the formula iff its coloring is good

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +16,7 @@ from ramsat import (
     k_subsets,
     subset_is_clique,
 )
+from ramsat.graphs import deletion_classes
 
 
 class TestEdge:
@@ -170,3 +171,38 @@ class TestSubsetIsClique:
             for s in k_subsets(5, k):
                 if subset_is_clique(larger, s):
                     assert subset_is_clique(smaller, s)
+
+
+def relabelled(indices, p, relabel):
+    """The sorted edge-index tuple of an edge set after moving vertex v to relabel[v]."""
+    return tuple(sorted(
+        edge_index(edge(relabel[u], relabel[v]), p)
+        for u, v in (index_to_edge(i, p) for i in indices)
+    ))
+
+
+class TestDeletionClasses:
+    @pytest.mark.parametrize("p", range(7))
+    def test_matches_brute_force_orbits(self, p):
+        # every k-edge set lies in the orbit of exactly one representative,
+        # and each representative is the least member of its orbit
+        relabels = list(permutations(range(p)))
+        m = edge_count(p)
+        for k in range(m + 1):
+            covered = set()
+            reps = deletion_classes(p, k)
+            assert reps == sorted(reps)
+            for rep in reps:
+                orbit = {relabelled(rep, p, relabel) for relabel in relabels}
+                assert min(orbit) == rep
+                assert not orbit & covered
+                covered |= orbit
+            assert covered == set(combinations(range(m), k))
+
+    def test_counts_graphs_with_k_edges(self):
+        # OEIS A000664: graphs with k edges, all of which fit on 10 vertices
+        assert [len(deletion_classes(10, k)) for k in range(6)] == [1, 1, 2, 5, 11, 26]
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            deletion_classes(4, -1)

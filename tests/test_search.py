@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,8 +18,10 @@ from ramsat import (
     SolveStatus,
     decide,
     deletion_bound_check,
+    edge_count,
     extend_coloring,
     good_coloring,
+    index_to_edge,
     is_good,
     min_deletions,
     ramsey_number,
@@ -211,6 +214,27 @@ class TestMinDeletions:
     def test_small_p_rejected(self):
         with pytest.raises(ValueError):
             min_deletions(RamseyQuery(3, 3), 1, 0)
+
+    @pytest.mark.parametrize(
+        "s, t, p", [(3, 3, p) for p in range(2, 9)] + [(3, 4, p) for p in range(2, 10)]
+    )
+    def test_same_answer_as_lex_scan(self, s, t, p):
+        expected = lex_scan_min_deletions(s, t, p)
+        result = min_deletions(RamseyQuery(s, t), p, p - 1)
+        assert (result.e, result.deleted, result.coloring.assignment) == expected
+
+
+def lex_scan_min_deletions(s, t, p):
+    """Reference: try every deletion set of each size in lex order of edge
+    indices and return (e, deleted, assignment) of the first colorable one."""
+    m = edge_count(p)
+    for k in range(m + 1):
+        for indices in combinations(range(m), k):
+            deleted = tuple(index_to_edge(i, p) for i in indices)
+            coloring = good_coloring(p, s, t, deleted)
+            if coloring is not None:
+                return k, deleted, coloring.assignment
+    raise AssertionError(f"K_{p} minus all its edges has no good coloring")
 
 
 class TestDeletionBoundCheck:
