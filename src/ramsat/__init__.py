@@ -16,7 +16,6 @@ from .coloring import (
     brute_force_good_coloring,
     find_mono_clique,
     is_good,
-    swap_colors,
 )
 from .document import ColoringDocument
 from .dpll import DEFAULT_DECISION_BUDGET, SolveResult, SolveStatus, solve
@@ -32,9 +31,6 @@ from .graphs import (
     Edge,
     edge,
     edge_count,
-    edge_index,
-    index_to_edge,
-    k_subsets,
     subset_is_clique,
 )
 from .search import (
@@ -42,10 +38,8 @@ from .search import (
     BadColoringError,
     Decision,
     DeletionResult,
-    RamseyQuery,
     RamseyResult,
     decide,
-    deletion_bound_check,
     extend_coloring,
     good_coloring,
     min_deletions,
@@ -69,7 +63,6 @@ __all__ = [
     "Edge",
     "EdgeColoring",
     "RamsatError",
-    "RamseyQuery",
     "RamseyResult",
     "SearchExhaustedError",
     "SolveResult",
@@ -79,21 +72,16 @@ __all__ = [
     "brute_force_good_coloring",
     "decide",
     "decode",
-    "deletion_bound_check",
     "edge",
     "edge_count",
-    "edge_index",
     "encode",
     "export_dimacs",
     "extend_coloring",
     "find_mono_clique",
     "good_coloring",
-    "index_to_edge",
     "is_good",
-    "k_subsets",
     "min_deletions",
     "ramsey_number",
     "solve",
     "subset_is_clique",
-    "swap_colors",
 ]

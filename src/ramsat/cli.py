@@ -6,6 +6,7 @@ Exit codes form a stable contract:
   2  usage error or malformed input
   3  search bound exhausted (not found within --max-n / --max-k)
   4  decision budget exceeded
+  130  interrupted (Ctrl-C)
 
 Primary results go to stdout; errors and diagnostics go to stderr.
 Identical invocations produce byte-identical output.
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .cnf import export_dimacs
-from .coloring import Verdict, is_good
+from .coloring import EdgeColoring, Verdict, is_good
 from .document import ColoringDocument
 from .dpll import DEFAULT_DECISION_BUDGET, SolveStatus
 from .errors import BudgetExceededError, DocumentError, SearchExhaustedError
@@ -28,7 +29,6 @@ from .graphs import DeletedEdgeGraph, Edge
 from .search import (
     DEFAULT_MAX_N,
     BadColoringError,
-    RamseyQuery,
     decide,
     extend_coloring,
     min_deletions,
@@ -40,6 +40,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 EXIT_BUDGET = 4
+EXIT_INTERRUPTED = 130
 
 
 def _edge_argument(text: str) -> Edge:
@@ -150,6 +151,10 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _write_coloring(path: str, coloring: EdgeColoring) -> None:
+    _write(path, ColoringDocument.from_coloring(coloring).to_json_text())
+
+
 def _format_edge(e: Edge) -> str:
     return f"{e[0]}-{e[1]}"
 
@@ -161,18 +166,14 @@ def _bad_line(verdict: Verdict) -> str:
 
 
 def cmd_number(args: argparse.Namespace) -> int:
-    query = RamseyQuery(args.s, args.t)
     try:
-        result = ramsey_number(query, args.max_n, budget=args.budget)
+        result = ramsey_number(args.s, args.t, args.max_n, budget=args.budget)
     except SearchExhaustedError:
         print(f"r({args.s},{args.t}) > {args.max_n}")
         return EXIT_EXHAUSTED
-    except BudgetExceededError as exc:
-        print(f"BUDGET EXCEEDED: {exc}")
-        return EXIT_BUDGET
     print(f"r({args.s},{args.t}) = {result.p}")
     if args.witness and result.witness is not None:
-        _write(args.witness, ColoringDocument.from_coloring(result.witness).to_json_text())
+        _write_coloring(args.witness, result.witness)
     return EXIT_OK
 
 
@@ -189,7 +190,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_NEGATIVE
     print("SAT")
     if args.json:
-        _write(args.json, ColoringDocument.from_coloring(decision.coloring).to_json_text())
+        _write_coloring(args.json, decision.coloring)
     return EXIT_OK
 
 
@@ -211,29 +212,25 @@ def cmd_extend(args: argparse.Namespace) -> int:
         print(_bad_line(exc.verdict))
         return EXIT_NEGATIVE
     deleted = extended.graph.deleted[0]
-    _write(args.out, ColoringDocument.from_coloring(extended).to_json_text())
+    _write_coloring(args.out, extended)
     print(f"deleted edge {_format_edge(deleted)}")
     return EXIT_OK
 
 
 def cmd_min_deletions(args: argparse.Namespace) -> int:
-    query = RamseyQuery(args.s, args.t)
     k_max = args.p - 1 if args.max_k is None else args.max_k
     try:
-        result = min_deletions(query, args.p, k_max, budget=args.budget)
+        result = min_deletions(args.s, args.t, args.p, k_max, budget=args.budget)
     except SearchExhaustedError:
         print(f"e > {k_max}")
         return EXIT_EXHAUSTED
-    except BudgetExceededError as exc:
-        print(f"BUDGET EXCEEDED: {exc}")
-        return EXIT_BUDGET
     print(f"e = {result.e}")
     if result.deleted:
         print(f"deleted: {' '.join(_format_edge(e) for e in result.deleted)}")
     else:
         print("deleted: none")
     if args.json:
-        _write(args.json, ColoringDocument.from_coloring(result.coloring).to_json_text())
+        _write_coloring(args.json, result.coloring)
     return EXIT_OK
 
 
@@ -258,15 +255,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except DocumentError as exc:
+    except BudgetExceededError as exc:
+        print(f"BUDGET EXCEEDED: {exc}")
+        return EXIT_BUDGET
+    except (DocumentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def run() -> None:

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Mapping
 
 from .coloring import Color, EdgeColoring
-from .graphs import DeletedEdgeGraph, Edge, k_subsets, subset_is_clique
+from .graphs import DeletedEdgeGraph, Edge, subset_is_clique
 
 # Largest clause count encode will build.  The biggest instance the
 # classical questions need, K_14 at (3,5), has 2,366 clauses.
@@ -31,9 +31,8 @@ class CnfFormula:
     """An immutable clause set in DIMACS conventions.
 
     Variables 1..len(var_map) stand for the present edges of the source
-    graph in lexicographic order (var_map[v-1] is the edge of variable v);
-    when nothing is deleted this is edge_index + 1.  Literals are signed
-    integers.
+    graph in lexicographic order (var_map[v-1] is the edge of variable v).
+    Literals are signed integers.
     """
 
     num_vars: int
@@ -80,10 +79,10 @@ def encode(graph: DeletedEdgeGraph, s: int, t: int) -> CnfFormula:
     present = graph.present_edges()
     var_of = {e: i + 1 for i, e in enumerate(present)}
     clauses: list[tuple[int, ...]] = []
-    for subset in k_subsets(graph.p, s):
+    for subset in combinations(range(graph.p), s):
         if subset_is_clique(graph, subset):
             clauses.append(tuple(-var_of[pair] for pair in combinations(subset, 2)))
-    for subset in k_subsets(graph.p, t):
+    for subset in combinations(range(graph.p), t):
         if subset_is_clique(graph, subset):
             clauses.append(tuple(var_of[pair] for pair in combinations(subset, 2)))
     return CnfFormula(len(present), tuple(clauses), tuple(present))

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Mapping, Optional
 
 from .errors import BudgetExceededError
-from .graphs import DeletedEdgeGraph, Edge, k_subsets, subset_is_clique
+from .graphs import DeletedEdgeGraph, Edge, subset_is_clique
 
 # Largest edge count brute_force_good_coloring will enumerate (2^24 words).
 ENUMERATION_LIMIT = 24
@@ -26,10 +26,6 @@ ENUMERATION_LIMIT = 24
 class Color(enum.Enum):
     RED = "red"
     BLUE = "blue"
-
-    @property
-    def opposite(self) -> "Color":
-        return Color.BLUE if self is Color.RED else Color.RED
 
 
 @dataclass(frozen=True)
@@ -57,14 +53,6 @@ class EdgeColoring:
         return [e for e in self.graph.present_edges() if self.assignment[e] is color]
 
 
-def swap_colors(coloring: EdgeColoring) -> EdgeColoring:
-    """Red becomes blue and vice versa; exchanges the roles of s and t."""
-    return EdgeColoring(
-        coloring.graph,
-        {e: c.opposite for e, c in coloring.assignment.items()},
-    )
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a goodness check; bad verdicts carry one witness clique."""
@@ -85,7 +73,7 @@ def find_mono_clique(
         raise ValueError("clique size must be at least 1")
     graph = coloring.graph
     assignment = coloring.assignment
-    for subset in k_subsets(graph.p, k):
+    for subset in combinations(range(graph.p), k):
         if not subset_is_clique(graph, subset):
             continue
         if all(assignment[pair] is color for pair in combinations(subset, 2)):
@@ -95,8 +83,6 @@ def find_mono_clique(
 
 def is_good(coloring: EdgeColoring, s: int, t: int) -> Verdict:
     """Check for red K_s and blue K_t; red witnesses take priority."""
-    if s < 2 or t < 2:
-        raise ValueError("clique sizes below 2 never admit a good coloring")
     red = find_mono_clique(coloring, Color.RED, s)
     if red is not None:
         return Verdict(False, (Color.RED, red))
@@ -129,7 +115,7 @@ def brute_force_good_coloring(
 
     def clique_masks(k: int) -> list[int]:
         masks = []
-        for subset in k_subsets(graph.p, k):
+        for subset in combinations(range(graph.p), k):
             if subset_is_clique(graph, subset):
                 mask = 0
                 for pair in combinations(subset, 2):

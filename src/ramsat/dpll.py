@@ -36,10 +36,6 @@ class SolveResult:
     model: Optional[dict[int, bool]]
     decisions: int
 
-    @property
-    def is_sat(self) -> bool:
-        return self.status is SolveStatus.SAT
-
 
 def _code(lit: int) -> int:
     return lit << 1 if lit > 0 else (-lit << 1) | 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Edge = tuple[int, int]
 
@@ -32,62 +32,33 @@ def edge_count(p: int) -> int:
     return math.comb(p, 2)
 
 
-def edge_index(e: Edge, p: int) -> int:
-    """Lexicographic rank of edge e among the edges of K_p."""
-    u, v = e
-    if not 0 <= u < v < p:
-        raise ValueError(f"({u},{v}) is not a canonical edge of K_{p}")
-    # u complete blocks of sizes p-1, p-2, ..., then the offset within block u
-    return u * p - u * (u + 1) // 2 + (v - u - 1)
-
-
-def index_to_edge(i: int, p: int) -> Edge:
-    """Inverse of edge_index."""
-    if not 0 <= i < edge_count(p):
-        raise ValueError(f"edge index {i} out of range for K_{p}")
-    u = 0
-    block = p - 1
-    while i >= block:
-        i -= block
-        block -= 1
-        u += 1
-    return (u, u + 1 + i)
-
-
-def k_subsets(p: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-subsets of {0..p-1} as sorted tuples, in lexicographic order."""
-    if k < 0:
-        raise ValueError("subset size must be non-negative")
-    return combinations(range(p), k)
-
-
-def deletion_classes(p: int, k: int) -> list[tuple[int, ...]]:
+def deletion_classes(p: int, k: int) -> list[tuple[Edge, ...]]:
     """One k-edge set of K_p per isomorphism class, in lexicographic order.
 
-    A class is represented by its lex-least member: the sorted edge-index
-    tuple that is smallest over all relabellings of the p vertices.  The
+    A class is represented by its lex-least member: the sorted edge tuple
+    that is smallest over all relabellings of the p vertices.  The
     representatives are built by orderly generation (Read 1978; McKay
-    1998): each level-k one is a level-(k-1) one with a larger index
-    appended, kept only if it is lex-least.  Dropping the largest index of
-    a lex-least set leaves a lex-least set, so every class is reached, and
+    1998): each level-k one is a level-(k-1) one with a later edge
+    appended, kept only if it is lex-least.  Dropping the last edge of a
+    lex-least set leaves a lex-least set, so every class is reached, and
     from exactly one parent.
     """
     if k < 0:
         raise ValueError("deletion count must be non-negative")
-    m = edge_count(p)
-    level: list[tuple[int, ...]] = [()]
+    edges = list(combinations(range(p), 2))
+    level: list[tuple[Edge, ...]] = [()]
     for _ in range(k):
         level = [
-            rep + (i,)
+            rep + (e,)
             for rep in level
-            for i in range(rep[-1] + 1 if rep else 0, m)
-            if _is_lex_least(rep + (i,), p)
+            for e in edges
+            if (not rep or e > rep[-1]) and _is_lex_least(rep + (e,))
         ]
     return level
 
 
-def _is_lex_least(indices: tuple[int, ...], p: int) -> bool:
-    """Whether no relabelling of K_p maps these edges to a smaller tuple.
+def _is_lex_least(target: tuple[Edge, ...]) -> bool:
+    """Whether no relabelling maps these sorted edges to a smaller tuple.
 
     Labels are handed out in order: each processed vertex gives its
     unlabelled neighbours the next free labels, in every order, and a new
@@ -96,7 +67,6 @@ def _is_lex_least(indices: tuple[int, ...], p: int) -> bool:
     is cut as soon as its edges, placed block by block, sort above or
     below the input's.
     """
-    target = [index_to_edge(i, p) for i in indices]
     neighbours: dict[int, list[int]] = {}
     for u, v in target:
         neighbours.setdefault(u, []).append(v)
@@ -113,7 +83,7 @@ def _is_lex_least(indices: tuple[int, ...], p: int) -> bool:
         fresh = [w for w in neighbours[vertex] if w not in label]
         later = [label[w] for w in neighbours[vertex] if label.get(w, -1) > done]
         later += range(len(order), len(order) + len(fresh))
-        block = [(done, b) for b in sorted(later)]
+        block = tuple((done, b) for b in sorted(later))
         end = pos + len(block)
         if block != target[pos:end]:
             return block < target[pos:end]

@@ -14,21 +14,9 @@ from .cnf import CnfFormula, decode, encode
 from .coloring import EdgeColoring, Verdict, is_good
 from .dpll import DEFAULT_DECISION_BUDGET, SolveStatus, solve
 from .errors import BudgetExceededError, SearchExhaustedError, TheoremViolationError
-from .graphs import DeletedEdgeGraph, Edge, deletion_classes, edge_count, index_to_edge
+from .graphs import DeletedEdgeGraph, Edge, deletion_classes, edge_count
 
 DEFAULT_MAX_N = 14
-
-
-@dataclass(frozen=True)
-class RamseyQuery:
-    """The pair (s, t): forbid red K_s and blue K_t."""
-
-    s: int
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.s < 1 or self.t < 1:
-            raise ValueError("clique sizes must be positive")
 
 
 @dataclass(frozen=True)
@@ -85,7 +73,6 @@ def decide(
     if result.status is not SolveStatus.SAT:
         return Decision(result.status, formula, None)
     coloring = decode(result.model, graph)
-    # a satisfiable encoding implies s, t >= 2, so the verifier applies
     verdict = is_good(coloring, s, t)
     if not verdict.good:
         raise TheoremViolationError(
@@ -117,7 +104,8 @@ def good_coloring(
 
 
 def ramsey_number(
-    query: RamseyQuery,
+    s: int,
+    t: int,
     n_max: int = DEFAULT_MAX_N,
     *,
     budget: int = DEFAULT_DECISION_BUDGET,
@@ -135,12 +123,12 @@ def ramsey_number(
         raise ValueError("n_max must be at least 1")
     witness = None
     for n in range(1, n_max + 1):
-        coloring = good_coloring(n, query.s, query.t, budget=budget)
+        coloring = good_coloring(n, s, t, budget=budget)
         if coloring is None:
             return RamseyResult(n, witness)
         witness = coloring
     raise SearchExhaustedError(
-        f"r({query.s},{query.t}) > {n_max}: every K_n up to {n_max} has a good coloring"
+        f"r({s},{t}) > {n_max}: every K_n up to {n_max} has a good coloring"
     )
 
 
@@ -186,7 +174,8 @@ def extend_coloring(
 
 
 def min_deletions(
-    query: RamseyQuery,
+    s: int,
+    t: int,
     p: int,
     k_max: int,
     *,
@@ -197,14 +186,13 @@ def min_deletions(
     Relabelling the vertices of K_p maps good colorings to good colorings,
     so whether K_p minus D is colorable depends only on the isomorphism
     class of the deletion graph D.  For each size k the search therefore
-    solves one set per class: the class's lex-least sorted edge-index
-    tuple, taken in increasing order (`deletion_classes`).  The first
-    colorable representative is the lex-first minimal set overall: every
-    set before it lies in a class whose representative comes earlier
-    still, and that representative was not colorable.  It is solved as the
-    same formula a scan of all C(m,k) sets would solve, so the coloring is
-    the same too.  Raises SearchExhaustedError when k_max deletions are
-    still not enough.
+    solves one set per class: the class's lex-least sorted edge tuple,
+    taken in increasing order (`deletion_classes`).  The first colorable
+    representative is the lex-first minimal set overall: every set before
+    it lies in a class whose representative comes earlier still, and that
+    representative was not colorable.  It is solved as the same formula a
+    scan of all C(m,k) sets would solve, so the coloring is the same too.
+    Raises SearchExhaustedError when k_max deletions are still not enough.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -212,22 +200,10 @@ def min_deletions(
     if not 0 <= k_max <= m:
         raise ValueError(f"k_max must be between 0 and {m}")
     for k in range(k_max + 1):
-        for indices in deletion_classes(p, k):
-            deleted = tuple(index_to_edge(i, p) for i in indices)
-            coloring = good_coloring(p, query.s, query.t, deleted, budget=budget)
+        for deleted in deletion_classes(p, k):
+            coloring = good_coloring(p, s, t, deleted, budget=budget)
             if coloring is not None:
                 return DeletionResult(k, deleted, coloring)
     raise SearchExhaustedError(
         f"no deletion set of size <= {k_max} admits a good coloring of K_{p}"
     )
-
-
-def deletion_bound_check(result: DeletionResult, p: int) -> bool:
-    """Whether the minimal deletion count satisfies 1 <= e <= p - 1.
-
-    The bound applies when p is the Ramsey number of the query: at least
-    one deletion is needed (K_p itself has no good coloring) and deleting
-    the p - 1 edges at one vertex strands it, reducing to a colorable
-    K_{p-1} plus an isolated vertex.
-    """
-    return 1 <= result.e <= p - 1

@@ -19,10 +19,9 @@ from ramsat import (
     Color,
     DeletedEdgeGraph,
     EdgeColoring,
-    RamseyQuery,
+    SolveStatus,
     brute_force_good_coloring,
     decode,
-    deletion_bound_check,
     encode,
     extend_coloring,
     is_good,
@@ -75,7 +74,7 @@ def test_criterion_1_r33_under_a_second():
 
 def test_criterion_2_single_deletion_suffices_at_6():
     start = time.perf_counter()
-    result = min_deletions(RamseyQuery(3, 3), 6, 3)
+    result = min_deletions(3, 3, 6, 3)
     ok = result.e == 1 and is_good(result.coloring, 3, 3).good
     # independent confirmation on the reported graph: 2^14 enumeration
     graph = DeletedEdgeGraph(6, result.deleted)
@@ -124,9 +123,9 @@ def test_criterion_3_extension_works_from_every_good_k5_coloring():
 
 
 def test_criterion_4_deletion_bound():
-    r33 = min_deletions(RamseyQuery(3, 3), 6, 5)
-    r34 = min_deletions(RamseyQuery(3, 4), 9, 8)
-    ok = deletion_bound_check(r33, 6) and deletion_bound_check(r34, 9)
+    r33 = min_deletions(3, 3, 6, 5)
+    r34 = min_deletions(3, 4, 9, 8)
+    ok = 1 <= r33.e <= 6 - 1 and 1 <= r34.e <= 9 - 1
     report(
         "criterion 4: 1 <= e <= p-1 at (3,3,p=6) and (3,4,p=9)",
         ok,
@@ -160,9 +159,9 @@ def test_criterion_6_solver_matches_oracle_with_deletions():
                 oracle = brute_force_good_coloring(graph, s, t)
                 result = solve(encode(graph, s, t))
                 checked += 1
-                if result.is_sat != (oracle is not None):
+                if (result.status is SolveStatus.SAT) != (oracle is not None):
                     mismatches.append((n, deleted, s, t))
-                elif result.is_sat:
+                elif result.status is SolveStatus.SAT:
                     coloring = decode(result.model, graph)
                     if not naive_good(coloring, s, t):
                         mismatches.append((n, deleted, s, t))
@@ -199,8 +198,8 @@ def test_criterion_7_encoding_soundness_exhaustive_k5():
 
 
 def test_criterion_8_degenerate_clique_sizes():
-    ones = {t: ramsey_number(RamseyQuery(1, t)).p for t in (1, 2, 3)}
-    twos = {t: ramsey_number(RamseyQuery(2, t)).p for t in (2, 3, 4, 5)}
+    ones = {t: ramsey_number(1, t).p for t in (1, 2, 3)}
+    twos = {t: ramsey_number(2, t).p for t in (2, 3, 4, 5)}
     ok = all(p == 1 for p in ones.values()) and all(twos[t] == t for t in twos)
     report(
         "criterion 8: r(1,t) = 1 and r(2,t) = t from the encoding itself",

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import ramsat.cli
 import ramsat.search
 from ramsat import ColoringDocument, TheoremViolationError, is_good
 from ramsat.cli import main
@@ -55,9 +56,18 @@ class TestNumber:
     def test_budget_exceeded(self, capsys):
         # budget 1 survives K_2 (one branch) but not K_3
         assert main(["number", "-s", "3", "-t", "3", "--budget", "1"]) == 4
-        out = capsys.readouterr().out
-        assert out.startswith("BUDGET EXCEEDED")
-        assert "n = 3" in out
+        assert capsys.readouterr().out == (
+            "BUDGET EXCEEDED: budget of 1 decisions exceeded at n = 3\n"
+        )
+
+    def test_interrupt_exits_130_without_traceback(self, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ramsat.cli, "ramsey_number", interrupted)
+        assert main(["number", "-s", "3", "-t", "3"]) == 130
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "interrupted\n")
 
     def test_rejects_zero_s(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -158,6 +168,15 @@ class TestVerify:
         assert main(["verify", str(path), "-s", "3", "-t", "3"]) == 1
         assert capsys.readouterr().out == "BAD: blue K_3 on {0,1,2}\n"
 
+    def test_size_one_is_a_bad_witness(self, tmp_path, capsys):
+        # a single vertex is a monochromatic K_1, as `solve` finds too
+        path = write_c5(tmp_path)
+        assert main(["verify", str(path), "-s", "1", "-t", "3"]) == 1
+        assert main(["verify", str(path), "-s", "3", "-t", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "BAD: red K_1 on {0}\nBAD: blue K_1 on {0}\n"
+        assert captured.err == ""
+
     def test_malformed_document(self, tmp_path, capsys):
         path = tmp_path / "overlap.json"
         path.write_text(
@@ -197,6 +216,18 @@ class TestExtend:
         )
         assert code == 1
         assert capsys.readouterr().out == "BAD: red K_3 on {0,1,2}\n"
+        assert not out_path.exists()
+
+    def test_size_one_is_a_bad_witness(self, tmp_path, capsys):
+        path = write_c5(tmp_path)
+        out_path = tmp_path / "x.json"
+        code = main(
+            ["extend", str(path), "--vertex", "0", "-s", "1", "-t", "3",
+             "--out", str(out_path)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("BAD: red K_1 on {0}\n", "")
         assert not out_path.exists()
 
     def test_rejects_deleted_edge_input(self, tmp_path, capsys):
@@ -250,7 +281,9 @@ class TestMinDeletions:
         assert main(
             ["min-deletions", "-s", "3", "-t", "3", "-p", "6", "--budget", "2"]
         ) == 4
-        assert capsys.readouterr().out.startswith("BUDGET EXCEEDED")
+        assert capsys.readouterr().out == (
+            "BUDGET EXCEEDED: budget of 2 decisions exceeded at n = 6\n"
+        )
 
     def test_invalid_max_k(self, capsys):
         assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "4", "--max-k", "9"]) == 2

@@ -12,6 +12,7 @@ from ramsat import (
     Color,
     DeletedEdgeGraph,
     EdgeColoring,
+    SolveStatus,
     decode,
     encode,
     export_dimacs,
@@ -104,7 +105,7 @@ class TestEncode:
     def test_size_one_gives_empty_clause(self):
         formula = encode(DeletedEdgeGraph(3), 1, 3)
         assert () in formula.clauses
-        assert not solve(formula).is_sat
+        assert solve(formula).status is not SolveStatus.SAT
 
     def test_oversized_cliques_give_no_clauses(self):
         formula = encode(DeletedEdgeGraph(3), 4, 5)

@@ -20,7 +20,6 @@ from ramsat import (
     brute_force_good_coloring,
     find_mono_clique,
     is_good,
-    swap_colors,
 )
 from .conftest import C5_RED, make_coloring
 
@@ -60,10 +59,6 @@ class TestEdgeColoring:
 
     def test_edges_of_color_lexicographic(self, c5_coloring):
         assert c5_coloring.edges_of_color(Color.RED) == sorted(C5_RED)
-
-    def test_swap_colors_involution(self, c5_coloring):
-        assert swap_colors(swap_colors(c5_coloring)) == c5_coloring
-        assert swap_colors(c5_coloring).color_of((0, 1)) is Color.BLUE
 
 
 class TestFindMonoClique:
@@ -124,9 +119,12 @@ class TestIsGood:
         assert is_good(coloring, 3, 3).good
 
     def test_degenerate_sizes_rejected(self, c5_coloring):
-        for s, t in ((1, 3), (3, 1), (0, 3), (3, 0)):
+        for s, t in ((0, 3), (3, 0)):
             with pytest.raises(ValueError):
                 is_good(c5_coloring, s, t)
+        # a single vertex is a monochromatic K_1 of either color
+        assert is_good(c5_coloring, 1, 3).witness == (Color.RED, (0,))
+        assert is_good(c5_coloring, 3, 1).witness == (Color.BLUE, (0,))
 
     def test_witness_is_sound_on_random_colorings(self):
         rng = random.Random(20260819)
@@ -155,10 +153,15 @@ class TestIsGood:
 
     def test_swap_symmetry(self):
         rng = random.Random(7)
+        swap = {Color.RED: Color.BLUE, Color.BLUE: Color.RED}
         for _ in range(100):
             coloring = random_coloring(rng, DeletedEdgeGraph(6))
             s, t = rng.choice([(2, 3), (3, 3), (3, 4), (2, 4)])
-            assert is_good(coloring, s, t).good == is_good(swap_colors(coloring), t, s).good
+            swapped = EdgeColoring(
+                coloring.graph,
+                {e: swap[c] for e, c in coloring.assignment.items()},
+            )
+            assert is_good(coloring, s, t).good == is_good(swapped, t, s).good
 
 
 class TestBruteForce:

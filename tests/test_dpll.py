@@ -68,7 +68,7 @@ class TestRamseyInstances:
     def test_k5_33_sat(self):
         graph = DeletedEdgeGraph(5)
         result = solve(encode(graph, 3, 3))
-        assert result.is_sat
+        assert result.status is SolveStatus.SAT
         assert is_good(decode(result.model, graph), 3, 3).good
 
     def test_k6_33_unsat(self):
@@ -77,12 +77,12 @@ class TestRamseyInstances:
     def test_k6_minus_edge_sat(self):
         graph = DeletedEdgeGraph(6, ((0, 5),))
         result = solve(encode(graph, 3, 3))
-        assert result.is_sat
+        assert result.status is SolveStatus.SAT
         assert is_good(decode(result.model, graph), 3, 3).good
 
     def test_k2_trivial(self):
         result = solve(encode(DeletedEdgeGraph(2), 3, 3))
-        assert result.is_sat
+        assert result.status is SolveStatus.SAT
         assert result.model == {1: True}
 
     def test_model_is_total(self):
@@ -92,9 +92,9 @@ class TestRamseyInstances:
 
     def test_deletion_monotone_satisfiability(self):
         # adding deletions only removes constraints
-        assert solve(encode(DeletedEdgeGraph(5), 3, 3)).is_sat
-        assert solve(encode(DeletedEdgeGraph(5, ((0, 1),)), 3, 3)).is_sat
-        assert solve(encode(DeletedEdgeGraph(5, ((0, 1), (2, 3))), 3, 3)).is_sat
+        assert solve(encode(DeletedEdgeGraph(5), 3, 3)).status is SolveStatus.SAT
+        assert solve(encode(DeletedEdgeGraph(5, ((0, 1),)), 3, 3)).status is SolveStatus.SAT
+        assert solve(encode(DeletedEdgeGraph(5, ((0, 1), (2, 3))), 3, 3)).status is SolveStatus.SAT
 
 
 class TestDeterminism:
@@ -141,6 +141,6 @@ class TestOracleAgreement:
         graph = DeletedEdgeGraph(n, deleted)
         oracle = brute_force_good_coloring(graph, s, t)
         result = solve(encode(graph, s, t))
-        assert result.is_sat == (oracle is not None)
-        if result.is_sat:
+        assert (result.status is SolveStatus.SAT) == (oracle is not None)
+        if result.status is SolveStatus.SAT:
             assert is_good(decode(result.model, graph), s, t).good

@@ -1,21 +1,12 @@
-"""Edge indexing, subset streams, and deleted-edge graphs."""
+"""Edges, deleted-edge graphs, and deletion classes."""
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, strategies as st
 
-from ramsat import (
-    DeletedEdgeGraph,
-    edge,
-    edge_count,
-    edge_index,
-    index_to_edge,
-    k_subsets,
-    subset_is_clique,
-)
+from ramsat import DeletedEdgeGraph, edge, edge_count, subset_is_clique
 from ramsat.graphs import deletion_classes
 
 
@@ -33,42 +24,6 @@ class TestEdge:
             edge(-1, 2)
 
 
-class TestEdgeIndex:
-    def test_first_edge(self):
-        assert edge_index((0, 1), 6) == 0
-
-    def test_last_edge(self):
-        assert edge_index((4, 5), 6) == 14
-
-    def test_block_boundary(self):
-        # (0,5) ends the first block, (1,2) starts the second
-        assert edge_index((0, 5), 6) == 4
-        assert edge_index((1, 2), 6) == 5
-
-    def test_matches_lexicographic_enumeration(self):
-        for p in range(2, 13):
-            for i, e in enumerate(combinations(range(p), 2)):
-                assert edge_index(e, p) == i
-                assert index_to_edge(i, p) == e
-
-    def test_rejects_non_canonical(self):
-        with pytest.raises(ValueError):
-            edge_index((3, 1), 6)
-        with pytest.raises(ValueError):
-            edge_index((0, 6), 6)
-
-    def test_rejects_out_of_range_index(self):
-        with pytest.raises(ValueError):
-            index_to_edge(15, 6)
-        with pytest.raises(ValueError):
-            index_to_edge(-1, 6)
-
-    @given(st.integers(min_value=2, max_value=50), st.data())
-    def test_round_trip(self, p, data):
-        i = data.draw(st.integers(min_value=0, max_value=edge_count(p) - 1))
-        assert edge_index(index_to_edge(i, p), p) == i
-
-
 class TestEdgeCount:
     def test_small_values(self):
         assert [edge_count(p) for p in range(7)] == [0, 0, 1, 3, 6, 10, 15]
@@ -76,35 +31,6 @@ class TestEdgeCount:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             edge_count(-1)
-
-
-class TestKSubsets:
-    def test_exact_listing(self):
-        assert list(k_subsets(3, 2)) == [(0, 1), (0, 2), (1, 2)]
-
-    def test_full_set(self):
-        assert list(k_subsets(4, 4)) == [(0, 1, 2, 3)]
-
-    def test_count(self):
-        assert len(list(k_subsets(5, 3))) == 10
-
-    def test_oversized_is_empty(self):
-        assert list(k_subsets(3, 4)) == []
-
-    def test_zero_is_empty_tuple(self):
-        assert list(k_subsets(3, 0)) == [()]
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            list(k_subsets(3, -1))
-
-    def test_lexicographic_and_distinct(self):
-        for p in range(8):
-            for k in range(p + 1):
-                subsets = list(k_subsets(p, k))
-                assert subsets == sorted(subsets)
-                assert len(set(subsets)) == len(subsets)
-                assert all(s == tuple(sorted(s)) for s in subsets)
 
 
 class TestDeletedEdgeGraph:
@@ -151,7 +77,7 @@ class TestSubsetIsClique:
     def test_complete_graph_every_subset(self):
         g = DeletedEdgeGraph(5)
         for k in range(6):
-            assert all(subset_is_clique(g, s) for s in k_subsets(5, k))
+            assert all(subset_is_clique(g, s) for s in combinations(range(5), k))
 
     def test_spanning_subset_is_not_clique(self):
         g = DeletedEdgeGraph(6, ((0, 5),))
@@ -168,17 +94,14 @@ class TestSubsetIsClique:
         smaller = DeletedEdgeGraph(5, ((0, 1),))
         larger = DeletedEdgeGraph(5, ((0, 1), (2, 3)))
         for k in range(6):
-            for s in k_subsets(5, k):
+            for s in combinations(range(5), k):
                 if subset_is_clique(larger, s):
                     assert subset_is_clique(smaller, s)
 
 
-def relabelled(indices, p, relabel):
-    """The sorted edge-index tuple of an edge set after moving vertex v to relabel[v]."""
-    return tuple(sorted(
-        edge_index(edge(relabel[u], relabel[v]), p)
-        for u, v in (index_to_edge(i, p) for i in indices)
-    ))
+def relabelled(edges, relabel):
+    """The sorted edge tuple of an edge set after moving vertex v to relabel[v]."""
+    return tuple(sorted(edge(relabel[u], relabel[v]) for u, v in edges))
 
 
 class TestDeletionClasses:
@@ -187,17 +110,17 @@ class TestDeletionClasses:
         # every k-edge set lies in the orbit of exactly one representative,
         # and each representative is the least member of its orbit
         relabels = list(permutations(range(p)))
-        m = edge_count(p)
-        for k in range(m + 1):
+        all_edges = list(combinations(range(p), 2))
+        for k in range(len(all_edges) + 1):
             covered = set()
             reps = deletion_classes(p, k)
             assert reps == sorted(reps)
             for rep in reps:
-                orbit = {relabelled(rep, p, relabel) for relabel in relabels}
+                orbit = {relabelled(rep, relabel) for relabel in relabels}
                 assert min(orbit) == rep
                 assert not orbit & covered
                 covered |= orbit
-            assert covered == set(combinations(range(m), k))
+            assert covered == set(combinations(all_edges, k))
 
     def test_counts_graphs_with_k_edges(self):
         # OEIS A000664: graphs with k edges, all of which fit on 10 vertices

@@ -13,15 +13,11 @@ from ramsat import (
     Color,
     DeletedEdgeGraph,
     EdgeColoring,
-    RamseyQuery,
     SearchExhaustedError,
     SolveStatus,
     decide,
-    deletion_bound_check,
-    edge_count,
     extend_coloring,
     good_coloring,
-    index_to_edge,
     is_good,
     min_deletions,
     ramsey_number,
@@ -67,33 +63,33 @@ class TestGoodColoring:
 
 class TestRamseyNumber:
     def test_r33(self):
-        result = ramsey_number(RamseyQuery(3, 3))
+        result = ramsey_number(3, 3)
         assert result.p == 6
         assert result.witness.graph.p == 5
         assert is_good(result.witness, 3, 3).good
 
     def test_r22(self):
-        result = ramsey_number(RamseyQuery(2, 2))
+        result = ramsey_number(2, 2)
         assert result.p == 2
         assert result.witness.graph.p == 1
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_one_clique_size(self, t):
         # a single vertex is already a red K_1
-        result = ramsey_number(RamseyQuery(1, t))
+        result = ramsey_number(1, t)
         assert result.p == 1
         assert result.witness is None
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5])
     def test_two_clique_size(self, t):
         # avoiding red K_2 means all blue, so only K_{t-1} survives
-        assert ramsey_number(RamseyQuery(2, t)).p == t
+        assert ramsey_number(2, t).p == t
 
     def test_symmetry_23(self):
-        assert ramsey_number(RamseyQuery(2, 3)).p == ramsey_number(RamseyQuery(3, 2)).p == 3
+        assert ramsey_number(2, 3).p == ramsey_number(3, 2).p == 3
 
     def test_symmetry_34(self):
-        assert ramsey_number(RamseyQuery(3, 4)).p == ramsey_number(RamseyQuery(4, 3)).p == 9
+        assert ramsey_number(3, 4).p == ramsey_number(4, 3).p == 9
 
     def test_r34_lower_bound_by_explicit_witness(self):
         # K_8 colored red at circular distances 1 and 4 has no red K_3 and
@@ -109,16 +105,16 @@ class TestRamseyNumber:
 
     def test_exhausted_search(self):
         with pytest.raises(SearchExhaustedError, match="> 4"):
-            ramsey_number(RamseyQuery(3, 3), 4)
+            ramsey_number(3, 3, 4)
 
     def test_budget_propagates_with_n(self):
         # K_1 solves with zero decisions; K_2 needs its first branch
         with pytest.raises(BudgetExceededError, match="n = 2"):
-            ramsey_number(RamseyQuery(3, 3), budget=0)
+            ramsey_number(3, 3, budget=0)
 
     def test_invalid_query(self):
         with pytest.raises(ValueError):
-            RamseyQuery(0, 3)
+            ramsey_number(0, 3)
 
 
 class TestExtendColoring:
@@ -183,66 +179,55 @@ class TestExtendColoring:
 
 class TestMinDeletions:
     def test_k5_needs_none(self):
-        result = min_deletions(RamseyQuery(3, 3), 5, 3)
+        result = min_deletions(3, 3, 5, 3)
         assert result.e == 0
         assert result.deleted == ()
 
     def test_k6_needs_exactly_one(self):
-        result = min_deletions(RamseyQuery(3, 3), 6, 3)
+        result = min_deletions(3, 3, 6, 3)
         assert result.e == 1
-        assert result.deleted == ((0, 1),)  # first singleton in index order
+        assert result.deleted == ((0, 1),)  # first singleton in lex order
         assert is_good(result.coloring, 3, 3).good
         assert result.coloring.graph == DeletedEdgeGraph(6, ((0, 1),))
 
     def test_exhausted(self):
         with pytest.raises(SearchExhaustedError, match="<= 0"):
-            min_deletions(RamseyQuery(3, 3), 7, 0)
+            min_deletions(3, 3, 7, 0)
 
     def test_monotone_in_p(self):
         counts = [
-            min_deletions(RamseyQuery(3, 3), p, 1).e for p in range(2, 7)
+            min_deletions(3, 3, p, 1).e for p in range(2, 7)
         ]
         assert counts == sorted(counts)
         assert counts == [0, 0, 0, 0, 1]
 
     def test_k_max_bounds(self):
         with pytest.raises(ValueError):
-            min_deletions(RamseyQuery(3, 3), 4, 7)
+            min_deletions(3, 3, 4, 7)
         with pytest.raises(ValueError):
-            min_deletions(RamseyQuery(3, 3), 4, -1)
+            min_deletions(3, 3, 4, -1)
 
     def test_small_p_rejected(self):
         with pytest.raises(ValueError):
-            min_deletions(RamseyQuery(3, 3), 1, 0)
+            min_deletions(3, 3, 1, 0)
 
     @pytest.mark.parametrize(
         "s, t, p", [(3, 3, p) for p in range(2, 9)] + [(3, 4, p) for p in range(2, 10)]
     )
     def test_same_answer_as_lex_scan(self, s, t, p):
         expected = lex_scan_min_deletions(s, t, p)
-        result = min_deletions(RamseyQuery(s, t), p, p - 1)
+        result = min_deletions(s, t, p, p - 1)
         assert (result.e, result.deleted, result.coloring.assignment) == expected
 
 
 def lex_scan_min_deletions(s, t, p):
-    """Reference: try every deletion set of each size in lex order of edge
-    indices and return (e, deleted, assignment) of the first colorable one."""
-    m = edge_count(p)
-    for k in range(m + 1):
-        for indices in combinations(range(m), k):
-            deleted = tuple(index_to_edge(i, p) for i in indices)
+    """Reference: try every deletion set of each size in lex order of sorted
+    edge tuples and return (e, deleted, assignment) of the first colorable one."""
+    all_edges = list(combinations(range(p), 2))
+    for k in range(len(all_edges) + 1):
+        for deleted in combinations(all_edges, k):
             coloring = good_coloring(p, s, t, deleted)
             if coloring is not None:
                 return k, deleted, coloring.assignment
     raise AssertionError(f"K_{p} minus all its edges has no good coloring")
 
-
-class TestDeletionBoundCheck:
-    def test_holds_for_r33(self):
-        result = min_deletions(RamseyQuery(3, 3), 6, 5)
-        assert deletion_bound_check(result, 6)
-
-    def test_zero_fails(self):
-        result = min_deletions(RamseyQuery(3, 3), 5, 3)
-        assert result.e == 0
-        assert not deletion_bound_check(result, 5)
