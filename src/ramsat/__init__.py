@@ -1,11 +1,12 @@
 """Ramsey numbers and clique-avoiding edge colorings via an embedded SAT solver.
 
 The pipeline: a complete graph (optionally minus deleted edges) is encoded
-as CNF over one variable per edge, a deterministic DPLL solver decides it,
-and models decode back into red/blue colorings with no red K_s and no blue
-K_t.  On top sit the classical-Ramsey-number search, the twin-vertex
-extension that colors K_p minus one edge from a good coloring of K_{p-1},
-and the minimal-deletion search.
+as CNF over one variable per edge, a deterministic DPLL solver decides it
+together with lex-leader symmetry-breaking clauses, and models decode
+back into red/blue colorings with no red K_s and no blue K_t.  On top sit
+the classical-Ramsey-number search, the twin-vertex extension that colors
+K_p minus one edge from a good coloring of K_{p-1}, and the
+minimal-deletion search.
 """
 
 from .cnf import CnfFormula, decode, encode, export_dimacs

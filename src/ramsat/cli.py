@@ -25,7 +25,7 @@ from .coloring import EdgeColoring, Verdict, is_good
 from .document import ColoringDocument
 from .dpll import DEFAULT_DECISION_BUDGET, SolveStatus
 from .errors import BudgetExceededError, DocumentError, SearchExhaustedError
-from .graphs import DeletedEdgeGraph, Edge
+from .graphs import DeletedEdgeGraph, Edge, edge
 from .search import (
     DEFAULT_MAX_N,
     BadColoringError,
@@ -48,10 +48,12 @@ def _edge_argument(text: str) -> Edge:
     match = re.fullmatch(r"(\d+)-(\d+)", text)
     if match is None:
         raise argparse.ArgumentTypeError(f"expected an edge like 0-5, got {text!r}")
-    u, v = int(match.group(1)), int(match.group(2))
-    if u == v:
-        raise argparse.ArgumentTypeError(f"loop edge {text!r}")
-    return (u, v) if u < v else (v, u)
+    try:
+        return edge(int(match.group(1)), int(match.group(2)))
+    except ValueError as exc:
+        # the pattern admits only non-negative vertices, so edge() can
+        # object to nothing but a loop
+        raise argparse.ArgumentTypeError(f"loop edge {text!r}") from exc
 
 
 def _positive_int(text: str) -> int:

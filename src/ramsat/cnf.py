@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Mapping
 
 from .coloring import Color, EdgeColoring
-from .graphs import DeletedEdgeGraph, Edge, subset_is_clique
+from .graphs import DeletedEdgeGraph, Edge, edge, subset_is_clique
 
 # Largest clause count encode will build.  The biggest instance the
 # classical questions need, K_14 at (3,5), has 2,366 clauses.
@@ -86,6 +86,55 @@ def encode(graph: DeletedEdgeGraph, s: int, t: int) -> CnfFormula:
         if subset_is_clique(graph, subset):
             clauses.append(tuple(var_of[pair] for pair in combinations(subset, 2)))
     return CnfFormula(len(present), tuple(clauses), tuple(present))
+
+
+def symmetry_break(graph: DeletedEdgeGraph, formula: CnfFormula) -> CnfFormula:
+    """The formula plus lex-leader clauses for the adjacent vertex swaps.
+
+    For each swap (i, i+1) that maps the deleted edges onto themselves,
+    row i of the red adjacency matrix must be lexicographically at most
+    row i+1 (false < true), compared over the columns k other than i and
+    i+1 where both edges are present (where one is deleted, so is the
+    other).  A chain of helper variables, numbered after the formula's,
+    carries "the rows agree so far"; with e for the current one (true at
+    the first column), e' for the next, and a, b for the two edges of a
+    column, each column adds ¬e ∨ ¬a ∨ b, ¬e ∨ ¬a ∨ e' and ¬e ∨ b ∨ e'
+    (the last column only the first).
+
+    Soundness (Crawford, Ginsberg, Luks & Roy, KR 1996): each such swap
+    is an automorphism of K_p minus the deleted edges, so it maps good
+    colorings to good colorings.  Read in the lexicographic edge order of
+    the variables, a coloring x and its image under the swap first differ
+    at the first column k where rows i and i+1 differ, where x has the
+    color of (i, k) and the image that of (i+1, k); so the row comparison
+    says exactly x <=lex swap(x).  The lex-least coloring of every orbit
+    under the automorphisms satisfies that for every swap, so the clauses
+    remove no orbit: an unsatisfiable formula stays unsatisfiable, and
+    the edge variables of any model are still a good coloring.
+    """
+    deleted = set(graph.deleted)
+    var_of = {e: v for v, e in enumerate(formula.var_map, start=1)}
+    num_vars = formula.num_vars
+    clauses = list(formula.clauses)
+    for i in range(graph.p - 1):
+        swap = {i: i + 1, i + 1: i}
+        if {edge(swap.get(u, u), swap.get(v, v)) for u, v in deleted} != deleted:
+            continue
+        pairs = [
+            (var_of[edge(i, k)], var_of[edge(i + 1, k)])
+            for k in range(graph.p)
+            if k not in (i, i + 1) and edge(i, k) not in deleted
+        ]
+        equal: tuple[int, ...] = ()
+        for j, (a, b) in enumerate(pairs):
+            clauses.append((*equal, -a, b))
+            if j == len(pairs) - 1:
+                break
+            num_vars += 1
+            clauses.append((*equal, -a, num_vars))
+            clauses.append((*equal, b, num_vars))
+            equal = (-num_vars,)
+    return CnfFormula(num_vars, tuple(clauses), formula.var_map)
 
 
 def decode(assignment: Mapping[int, bool], graph: DeletedEdgeGraph) -> EdgeColoring:

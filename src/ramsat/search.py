@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cnf import CnfFormula, decode, encode
+from .cnf import CnfFormula, decode, encode, symmetry_break
 from .coloring import EdgeColoring, Verdict, is_good
 from .dpll import DEFAULT_DECISION_BUDGET, SolveStatus, solve
 from .errors import BudgetExceededError, SearchExhaustedError, TheoremViolationError
@@ -38,8 +38,9 @@ class DeletionResult:
 
 @dataclass(frozen=True)
 class Decision:
-    """One decided instance: the solver's status, the formula it solved,
-    and, only when SAT, the coloring after re-verification."""
+    """One decided instance: the solver's status, the instance's encoding
+    (without the symmetry-breaking clauses), and, only when SAT, the
+    coloring after re-verification."""
 
     status: SolveStatus
     formula: CnfFormula
@@ -64,12 +65,17 @@ def decide(
 ) -> Decision:
     """Encode, solve, decode, and re-verify one instance.
 
-    A SAT model is decoded and re-checked by the subset-walking verifier;
-    a model that decodes to a bad coloring raises TheoremViolationError,
-    so the only coloring a Decision can hold is a verified one.
+    The solver gets the encoding plus the lex-leader clauses of
+    `symmetry_break`, which keep at least one coloring of every
+    relabelling class, so SAT and UNSAT are the encoding's own answers.
+    The Decision holds the encoding alone, which is what `solve --dimacs`
+    writes.  A SAT model is decoded and re-checked by the subset-walking
+    verifier; a model that decodes to a bad coloring raises
+    TheoremViolationError, so the only coloring a Decision can hold is a
+    verified one.
     """
     formula = encode(graph, s, t)
-    result = solve(formula, budget)
+    result = solve(symmetry_break(graph, formula), budget)
     if result.status is not SolveStatus.SAT:
         return Decision(result.status, formula, None)
     coloring = decode(result.model, graph)

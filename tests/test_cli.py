@@ -36,6 +36,10 @@ class TestNumber:
         assert main(["number", "-s", "2", "-t", "5"]) == 0
         assert capsys.readouterr().out == "r(2,5) = 5\n"
 
+    def test_r35_within_the_default_budget(self, capsys):
+        assert main(["number", "-s", "3", "-t", "5"]) == 0
+        assert capsys.readouterr().out == "r(3,5) = 14\n"
+
     def test_witness_written_and_good(self, tmp_path, capsys):
         witness = tmp_path / "witness.json"
         assert main(["number", "-s", "3", "-t", "3", "--witness", str(witness)]) == 0
@@ -263,6 +267,10 @@ class TestMinDeletions:
     def test_k9_four_deletions(self, capsys):
         assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "9"]) == 0
         assert capsys.readouterr().out == "e = 4\ndeleted: 0-1 2-3 4-5 6-7\n"
+
+    def test_k10_two_deletions(self, capsys):
+        assert main(["min-deletions", "-s", "3", "-t", "4", "-p", "10"]) == 0
+        assert capsys.readouterr().out == "e = 2\ndeleted: 0-1 2-3\n"
 
     def test_writes_coloring(self, tmp_path, capsys):
         out = tmp_path / "coloring.json"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -14,11 +14,13 @@ from ramsat import (
     EdgeColoring,
     SolveStatus,
     decode,
+    edge,
     encode,
     export_dimacs,
     is_good,
     solve,
 )
+from ramsat.cnf import symmetry_break
 
 K3_DIMACS = """c var 1 = edge (0,1)
 c var 2 = edge (0,2)
@@ -145,6 +147,77 @@ class TestEncode:
             model = {i + 1: bool(word >> i & 1) for i in range(9)}
             coloring = decode(model, graph)
             assert satisfies(formula, word) == is_good(coloring, 3, 3).good
+
+
+def breaking_only(graph: DeletedEdgeGraph) -> CnfFormula:
+    """The lex-leader clauses of the graph over an otherwise empty formula."""
+    present = tuple(graph.present_edges())
+    return symmetry_break(graph, CnfFormula(len(present), (), present))
+
+
+class TestSymmetryBreak:
+    def test_k3_exact_clauses(self):
+        # swap (0,1) compares column 2, swap (1,2) column 0; no helpers
+        formula = breaking_only(DeletedEdgeGraph(3))
+        assert formula.num_vars == 3
+        assert formula.clauses == ((-2, 3), (-1, 2))
+
+    def test_k5_counts(self):
+        # four swaps of three columns: two helpers and seven clauses each
+        plain = encode(DeletedEdgeGraph(5), 3, 3)
+        broken = symmetry_break(DeletedEdgeGraph(5), plain)
+        assert broken.num_vars == plain.num_vars + 8
+        assert len(broken.clauses) == len(plain.clauses) + 28
+        assert broken.clauses[: len(plain.clauses)] == plain.clauses
+        assert broken.var_map == plain.var_map
+
+    def test_helper_chain(self):
+        # K_4 rows 0 and 1 over columns 2, 3; helper 7 = "equal at column 2"
+        formula = breaking_only(DeletedEdgeGraph(4))
+        assert formula.clauses[:4] == ((-2, 4), (-2, 7), (4, 7), (-7, -3, 5))
+
+    def test_swaps_moving_a_deleted_edge_are_skipped(self):
+        # every adjacent swap moves (0,2) onto a present edge
+        assert breaking_only(DeletedEdgeGraph(4, ((0, 2),))).clauses == ()
+        # (0,1) is kept by the swaps (0,1) and (2,3) but not by (1,2)
+        formula = breaking_only(DeletedEdgeGraph(4, ((0, 1),)))
+        assert (formula.num_vars, len(formula.clauses)) == (5 + 2, 8)
+
+    def test_rejects_a_row_above_the_next(self):
+        # (0,2) red and (1,2) blue puts row 0 above row 1 at column 2
+        units = ((-1,), (2,), (-3,))
+        formula = breaking_only(DeletedEdgeGraph(3))
+        constrained = CnfFormula(3, formula.clauses + units, formula.var_map)
+        assert solve(constrained).status is SolveStatus.UNSAT
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_orbit_keeps_its_lex_leader(self, n):
+        # For every graph with at most two deleted edges and every coloring,
+        # the lex-least relabelling by an automorphism (false < true, edges
+        # in variable order) satisfies the breaking clauses.
+        for k in range(3):
+            for deleted in combinations(combinations(range(n), 2), k):
+                graph = DeletedEdgeGraph(n, deleted)
+                present = graph.present_edges()
+                position = {e: i for i, e in enumerate(present)}
+                images = [
+                    [position[edge(perm[u], perm[v])] for u, v in present]
+                    for perm in permutations(range(n))
+                    if {edge(perm[u], perm[v]) for u, v in deleted} == set(deleted)
+                ]
+                leaders = {
+                    min(tuple(bits[i] for i in image) for image in images)
+                    for bits in product((False, True), repeat=len(present))
+                }
+                formula = breaking_only(graph)
+                for leader in leaders:
+                    units = tuple(
+                        (var if red else -var,) for var, red in enumerate(leader, 1)
+                    )
+                    fixed = CnfFormula(
+                        formula.num_vars, formula.clauses + units, formula.var_map
+                    )
+                    assert solve(fixed).status is SolveStatus.SAT, (deleted, leader)
 
 
 class TestDecode:

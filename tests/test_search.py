@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -15,7 +15,9 @@ from ramsat import (
     EdgeColoring,
     SearchExhaustedError,
     SolveStatus,
+    brute_force_good_coloring,
     decide,
+    encode,
     extend_coloring,
     good_coloring,
     is_good,
@@ -36,6 +38,34 @@ class TestDecide:
         cut = decide(DeletedEdgeGraph(6), 3, 3, budget=2)
         assert (cut.status, cut.coloring) == (SolveStatus.BUDGET_EXCEEDED, None)
         assert cut.formula == unsat.formula
+
+    @pytest.mark.parametrize("deleted", [(), ((0, 5),), ((1, 2), (3, 4))])
+    def test_formula_is_the_plain_encoding(self, deleted):
+        # the symmetry-breaking clauses are solved but never handed out
+        graph = DeletedEdgeGraph(6, deleted)
+        assert decide(graph, 3, 3).formula == encode(graph, 3, 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_status_agrees_with_brute_force(self, n):
+        # Colorability depends only on the isomorphism class of the deletion
+        # graph, and a set of at most two edges is fixed up to relabelling by
+        # its size and its number of endpoints, so the oracle runs once per
+        # class; the solver sees every labelling.
+        oracle: dict[tuple[int, int, int, int], bool] = {}
+        for k in range(3):
+            for deleted in combinations(combinations(range(n), 2), k):
+                graph = DeletedEdgeGraph(n, deleted)
+                for s, t in product(range(1, 5), repeat=2):
+                    key = (k, len({v for e in deleted for v in e}), s, t)
+                    if key not in oracle:
+                        # a single vertex is a red K_1 and a blue K_1
+                        oracle[key] = (
+                            s > 1
+                            and t > 1
+                            and brute_force_good_coloring(graph, s, t) is not None
+                        )
+                    status = decide(graph, s, t).status
+                    assert (status is SolveStatus.SAT) == oracle[key], (deleted, s, t)
 
 
 class TestGoodColoring:
