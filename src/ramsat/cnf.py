@@ -14,9 +14,8 @@ formula is unsatisfiable on any graph with a vertex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .coloring import Color, EdgeColoring
 from .graphs import DeletedEdgeGraph, Edge, edge, subset_is_clique
@@ -26,8 +25,13 @@ from .graphs import DeletedEdgeGraph, Edge, edge, subset_is_clique
 MAX_CLAUSES = 1_000_000
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class _FormulaFields(NamedTuple):
+    num_vars: int
+    clauses: tuple[tuple[int, ...], ...]
+    var_map: tuple[Edge, ...]
+
+
+class CnfFormula(_FormulaFields):
     """An immutable clause set in DIMACS conventions.
 
     Variables 1..len(var_map) stand for the present edges of the source
@@ -35,26 +39,35 @@ class CnfFormula:
     Literals are signed integers.
     """
 
-    num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
-    var_map: tuple[Edge, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.num_vars < 0:
+    def __new__(
+        cls,
+        num_vars: int,
+        clauses: tuple[tuple[int, ...], ...],
+        var_map: tuple[Edge, ...],
+    ) -> CnfFormula:
+        if num_vars < 0:
             raise ValueError("variable count must be non-negative")
-        if len(self.var_map) > self.num_vars:
+        if len(var_map) > num_vars:
             raise ValueError("var_map is longer than the variable range")
-        for clause in self.clauses:
+        for clause in clauses:
             seen: set[int] = set()
             for lit in clause:
                 if lit == 0:
                     raise ValueError("0 is not a literal")
                 var = abs(lit)
-                if var > self.num_vars:
-                    raise ValueError(f"literal {lit} outside 1..{self.num_vars}")
+                if var > num_vars:
+                    raise ValueError(f"literal {lit} outside 1..{num_vars}")
                 if var in seen:
                     raise ValueError(f"variable {var} appears twice in a clause")
                 seen.add(var)
+        return super().__new__(cls, num_vars, clauses, var_map)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CnfFormula:
+        """Build through __new__, so _make and _replace validate too."""
+        return cls(*iterable)
 
 
 def encode(graph: DeletedEdgeGraph, s: int, t: int) -> CnfFormula:

@@ -12,9 +12,8 @@ raw colorings.  Both serve as oracles for the solver pipeline.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import BudgetExceededError
 from .graphs import DeletedEdgeGraph, Edge, subset_is_clique
@@ -28,33 +27,40 @@ class Color(enum.Enum):
     BLUE = "blue"
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
-    """A total assignment of colors to the present edges of a graph."""
-
+class _ColoringFields(NamedTuple):
     graph: DeletedEdgeGraph
     assignment: Mapping[Edge, Color]
 
-    def __post_init__(self) -> None:
-        present = set(self.graph.present_edges())
-        given = set(self.assignment)
+
+class EdgeColoring(_ColoringFields):
+    """A total assignment of colors to the present edges of a graph."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, graph: DeletedEdgeGraph, assignment: Mapping[Edge, Color]
+    ) -> EdgeColoring:
+        present = set(graph.present_edges())
+        given = set(assignment)
         if given != present:
             missing = sorted(present - given)
             extra = sorted(given - present)
             if missing:
                 raise ValueError(f"coloring misses present edge {missing[0]}")
             raise ValueError(f"coloring assigns non-present edge {extra[0]}")
+        return super().__new__(cls, graph, assignment)
 
-    def color_of(self, e: Edge) -> Color:
-        return self.assignment[e]
+    @classmethod
+    def _make(cls, iterable: Iterable) -> EdgeColoring:
+        """Build through __new__, so _make and _replace validate too."""
+        return cls(*iterable)
 
     def edges_of_color(self, color: Color) -> list[Edge]:
         """Edges of one color, in lexicographic order."""
         return [e for e in self.graph.present_edges() if self.assignment[e] is color]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a goodness check; bad verdicts carry one witness clique."""
 
     good: bool

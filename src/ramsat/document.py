@@ -10,7 +10,7 @@ is rejected with the broken invariant named.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .coloring import Color, EdgeColoring
 from .errors import DocumentError
@@ -19,30 +19,38 @@ from .graphs import DeletedEdgeGraph, Edge, edge_count
 _KEYS = ("n", "deleted_edges", "red", "blue")
 
 
-@dataclass(frozen=True)
-class ColoringDocument:
-    """Validated document contents; construction enforces the schema."""
-
+class _DocumentFields(NamedTuple):
     n: int
     deleted_edges: tuple[Edge, ...]
     red: tuple[Edge, ...]
     blue: tuple[Edge, ...]
 
-    def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
+
+class ColoringDocument(_DocumentFields):
+    """Validated document contents; construction enforces the schema."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        n: int,
+        deleted_edges: tuple[Edge, ...],
+        red: tuple[Edge, ...],
+        blue: tuple[Edge, ...],
+    ) -> ColoringDocument:
+        if isinstance(n, bool) or not isinstance(n, int):
             raise DocumentError("n must be an integer")
-        if self.n < 0:
+        if n < 0:
             raise DocumentError("n must be non-negative")
         seen: set[Edge] = set()
         total = 0
-        for name in ("deleted_edges", "red", "blue"):
-            edges = getattr(self, name)
+        for name, edges in zip(_KEYS[1:], (deleted_edges, red, blue)):
             for e in edges:
                 u, v = e
                 for w in (u, v):
                     if isinstance(w, bool) or not isinstance(w, int):
                         raise DocumentError(f"{name} contains a non-integer vertex")
-                if not 0 <= u < v < self.n:
+                if not 0 <= u < v < n:
                     raise DocumentError(
                         f"{name} contains non-canonical or out-of-range pair [{u}, {v}]"
                     )
@@ -54,10 +62,16 @@ class ColoringDocument:
             if list(edges) != sorted(edges):
                 raise DocumentError(f"{name} is not sorted lexicographically")
             total += len(edges)
-        if total != edge_count(self.n):
+        if total != edge_count(n):
             raise DocumentError(
-                f"lists cover {total} edges but K_{self.n} has {edge_count(self.n)}"
+                f"lists cover {total} edges but K_{n} has {edge_count(n)}"
             )
+        return super().__new__(cls, n, deleted_edges, red, blue)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ColoringDocument:
+        """Build through __new__, so _make and _replace validate too."""
+        return cls(*iterable)
 
     @classmethod
     def from_json_text(cls, text: str) -> "ColoringDocument":

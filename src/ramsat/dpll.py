@@ -14,8 +14,7 @@ variable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cnf import CnfFormula
 
@@ -28,8 +27,7 @@ class SolveStatus(enum.Enum):
     BUDGET_EXCEEDED = "budget exceeded"
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Solver outcome; `model` is a total assignment only for SAT."""
 
     status: SolveStatus

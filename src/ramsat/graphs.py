@@ -9,9 +9,8 @@ bit positions, output ordering) leans on this one ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Edge = tuple[int, int]
 
@@ -95,8 +94,12 @@ def _is_lex_least(target: tuple[Edge, ...]) -> bool:
     return not beaten([], 0, 0)
 
 
-@dataclass(frozen=True)
-class DeletedEdgeGraph:
+class _GraphFields(NamedTuple):
+    p: int
+    deleted: tuple[Edge, ...] = ()
+
+
+class DeletedEdgeGraph(_GraphFields):
     """K_p minus a (possibly empty) set of deleted edges.
 
     The deleted edges are normalised to canonical sorted tuples, so two
@@ -104,25 +107,27 @@ class DeletedEdgeGraph:
     deleted edge set.
     """
 
-    p: int
-    deleted: tuple[Edge, ...] = ()
-    _deleted_set: frozenset[Edge] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p < 0:
+    def __new__(cls, p: int, deleted: Iterable[Edge] = ()) -> DeletedEdgeGraph:
+        if p < 0:
             raise ValueError("vertex count must be non-negative")
-        canonical = tuple(sorted(edge(u, v) for u, v in self.deleted))
+        canonical = tuple(sorted(edge(u, v) for u, v in deleted))
         for u, v in canonical:
-            if v >= self.p:
-                raise ValueError(f"deleted edge ({u},{v}) has an endpoint outside K_{self.p}")
+            if v >= p:
+                raise ValueError(f"deleted edge ({u},{v}) has an endpoint outside K_{p}")
         if len(frozenset(canonical)) != len(canonical):
             raise ValueError("duplicate deleted edge")
-        object.__setattr__(self, "deleted", canonical)
-        object.__setattr__(self, "_deleted_set", frozenset(canonical))
+        return super().__new__(cls, p, canonical)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> DeletedEdgeGraph:
+        """Build through __new__, so _make and _replace validate too."""
+        return cls(*iterable)
 
     def present_edges(self) -> list[Edge]:
         """The surviving edges, in lexicographic order."""
-        gone = self._deleted_set
+        gone = frozenset(self.deleted)
         return [
             (u, v)
             for u in range(self.p)
@@ -138,7 +143,8 @@ def subset_is_clique(graph: DeletedEdgeGraph, vertices: Iterable[int]) -> bool:
     loop of both the verifier and the encoder, so membership is not
     re-checked here.
     """
-    if not graph.deleted:
+    deleted = graph.deleted  # a named-tuple field read is not cheap, so read it once
+    if not deleted:
         return True
     inside = set(vertices)
-    return not any(u in inside and v in inside for u, v in graph.deleted)
+    return not any(u in inside and v in inside for u, v in deleted)

@@ -7,8 +7,7 @@ for the small classical numbers, so its default ceiling is n_max = 14.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cnf import CnfFormula, decode, encode, symmetry_break
 from .coloring import EdgeColoring, Verdict, is_good
@@ -19,16 +18,14 @@ from .graphs import DeletedEdgeGraph, Edge, deletion_classes, edge_count
 DEFAULT_MAX_N = 14
 
 
-@dataclass(frozen=True)
-class RamseyResult:
+class RamseyResult(NamedTuple):
     """r(s,t) = p, with a good coloring of K_{p-1} unless p = 1."""
 
     p: int
     witness: Optional[EdgeColoring]
 
 
-@dataclass(frozen=True)
-class DeletionResult:
+class DeletionResult(NamedTuple):
     """Minimal deletion count e, one minimal deletion set, and a coloring."""
 
     e: int
@@ -36,8 +33,7 @@ class DeletionResult:
     coloring: EdgeColoring
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """One decided instance: the solver's status, the instance's encoding
     (without the symmetry-breaking clauses), and, only when SAT, the
     coloring after re-verification."""

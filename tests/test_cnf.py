@@ -229,7 +229,7 @@ class TestDecode:
     def test_false_is_blue(self):
         graph = DeletedEdgeGraph(3)
         coloring = decode({1: True, 2: False, 3: True}, graph)
-        assert coloring.color_of((0, 2)) is Color.BLUE
+        assert coloring.assignment[(0, 2)] is Color.BLUE
 
     def test_partial_assignment_rejected(self):
         with pytest.raises(ValueError, match="misses variable 3"):
@@ -238,7 +238,7 @@ class TestDecode:
     def test_auxiliary_variables_ignored(self):
         graph = DeletedEdgeGraph(3)
         coloring = decode({1: True, 2: False, 3: True, 4: True}, graph)
-        assert coloring.color_of((0, 1)) is Color.RED
+        assert coloring.assignment[(0, 1)] is Color.RED
 
     def test_respects_deletions(self):
         graph = DeletedEdgeGraph(4, ((0, 2),))

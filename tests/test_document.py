@@ -117,7 +117,7 @@ class TestColoringRoundTrip:
         assert doc.deleted_edges == ((0, 5),)
         restored = doc.to_coloring()
         assert restored == coloring
-        assert restored.color_of((1, 2)) is Color.RED
+        assert restored.assignment[(1, 2)] is Color.RED
 
 
 class TestDot:

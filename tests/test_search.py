@@ -153,8 +153,8 @@ class TestExtendColoring:
         extended = extend_coloring(base, 0, 3, 3)
         assert extended.graph.p == 3
         assert extended.graph.deleted == ((0, 2),)
-        assert extended.color_of((1, 2)) is Color.RED  # copies (0,1)
-        assert extended.color_of((0, 1)) is Color.RED  # unchanged
+        assert extended.assignment[(1, 2)] is Color.RED  # copies (0,1)
+        assert extended.assignment[(0, 1)] is Color.RED  # unchanged
 
     def test_c5_every_vertex(self, c5_coloring):
         for vertex in range(5):
@@ -166,7 +166,7 @@ class TestExtendColoring:
                 if q != vertex:
                     twin_edge = (q, 5)
                     source = (min(vertex, q), max(vertex, q))
-                    assert extended.color_of(twin_edge) is c5_coloring.color_of(source)
+                    assert extended.assignment[twin_edge] is c5_coloring.assignment[source]
 
     def test_rejects_deleted_edge_input(self):
         base = make_coloring(3, set(), deleted=((0, 2),))
