@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .coloring import Color, EdgeColoring
-from .graphs import DeletedEdgeGraph, Edge, edge, subset_is_clique
+from .graphs import CheckedRecord, DeletedEdgeGraph, Edge, edge, subset_is_clique
 
 # Largest clause count encode will build.  The biggest instance the
 # classical questions need, K_14 at (3,5), has 2,366 clauses.
@@ -31,7 +31,7 @@ class _FormulaFields(NamedTuple):
     var_map: tuple[Edge, ...]
 
 
-class CnfFormula(_FormulaFields):
+class CnfFormula(CheckedRecord, _FormulaFields):
     """An immutable clause set in DIMACS conventions.
 
     Variables 1..len(var_map) stand for the present edges of the source
@@ -63,11 +63,6 @@ class CnfFormula(_FormulaFields):
                     raise ValueError(f"variable {var} appears twice in a clause")
                 seen.add(var)
         return super().__new__(cls, num_vars, clauses, var_map)
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> CnfFormula:
-        """Build through __new__, so _make and _replace validate too."""
-        return cls(*iterable)
 
 
 def encode(graph: DeletedEdgeGraph, s: int, t: int) -> CnfFormula:

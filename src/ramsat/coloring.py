@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import enum
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import BudgetExceededError
-from .graphs import DeletedEdgeGraph, Edge, subset_is_clique
+from .graphs import CheckedRecord, DeletedEdgeGraph, Edge, subset_is_clique
 
 # Largest edge count brute_force_good_coloring will enumerate (2^24 words).
 ENUMERATION_LIMIT = 24
@@ -32,7 +32,7 @@ class _ColoringFields(NamedTuple):
     assignment: Mapping[Edge, Color]
 
 
-class EdgeColoring(_ColoringFields):
+class EdgeColoring(CheckedRecord, _ColoringFields):
     """A total assignment of colors to the present edges of a graph."""
 
     __slots__ = ()
@@ -49,11 +49,6 @@ class EdgeColoring(_ColoringFields):
                 raise ValueError(f"coloring misses present edge {missing[0]}")
             raise ValueError(f"coloring assigns non-present edge {extra[0]}")
         return super().__new__(cls, graph, assignment)
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> EdgeColoring:
-        """Build through __new__, so _make and _replace validate too."""
-        return cls(*iterable)
 
     def edges_of_color(self, color: Color) -> list[Edge]:
         """Edges of one color, in lexicographic order."""
@@ -78,9 +73,10 @@ def find_mono_clique(
     if k < 1:
         raise ValueError("clique size must be at least 1")
     graph = coloring.graph
+    deleted = graph.deleted  # with none, every subset is a clique
     assignment = coloring.assignment
     for subset in combinations(range(graph.p), k):
-        if not subset_is_clique(graph, subset):
+        if deleted and not subset_is_clique(graph, subset):
             continue
         if all(assignment[pair] is color for pair in combinations(subset, 2)):
             return subset

@@ -10,11 +10,11 @@ is rejected with the broken invariant named.
 from __future__ import annotations
 
 import json
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .coloring import Color, EdgeColoring
 from .errors import DocumentError
-from .graphs import DeletedEdgeGraph, Edge, edge_count
+from .graphs import CheckedRecord, DeletedEdgeGraph, Edge, edge_count
 
 _KEYS = ("n", "deleted_edges", "red", "blue")
 
@@ -26,7 +26,7 @@ class _DocumentFields(NamedTuple):
     blue: tuple[Edge, ...]
 
 
-class ColoringDocument(_DocumentFields):
+class ColoringDocument(CheckedRecord, _DocumentFields):
     """Validated document contents; construction enforces the schema."""
 
     __slots__ = ()
@@ -67,11 +67,6 @@ class ColoringDocument(_DocumentFields):
                 f"lists cover {total} edges but K_{n} has {edge_count(n)}"
             )
         return super().__new__(cls, n, deleted_edges, red, blue)
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> ColoringDocument:
-        """Build through __new__, so _make and _replace validate too."""
-        return cls(*iterable)
 
     @classmethod
     def from_json_text(cls, text: str) -> "ColoringDocument":

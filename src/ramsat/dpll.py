@@ -59,23 +59,16 @@ def solve(formula: CnfFormula, budget: int = DEFAULT_DECISION_BUDGET) -> SolveRe
         val[code ^ 1] = 2
         trail.append(code)
 
-    units: list[int] = []
     for clause in formula.clauses:
-        if not clause:
-            return SolveResult(SolveStatus.UNSAT, None, 0)
         codes = [_code(lit) for lit in clause]
-        if len(codes) == 1:
-            units.append(codes[0])
-        else:
+        if len(codes) >= 2:
             # positions 0 and 1 are the watched literals
             watches[codes[0]].append(codes)
             watches[codes[1]].append(codes)
-
-    for code in units:
-        if val[code] == 2:
+        elif not codes or val[codes[0]] == 2:
             return SolveResult(SolveStatus.UNSAT, None, 0)
-        if val[code] == 0:
-            assign(code)
+        elif val[codes[0]] == 0:
+            assign(codes[0])
 
     def propagate() -> bool:
         """Run unit propagation to fixpoint; False means conflict."""
@@ -121,12 +114,7 @@ def solve(formula: CnfFormula, budget: int = DEFAULT_DECISION_BUDGET) -> SolveRe
             var = search_from
             while val[var << 1]:
                 var += 1
-            decisions += 1
-            if decisions > budget:
-                return SolveResult(SolveStatus.BUDGET_EXCEEDED, None, decisions)
-            stack.append((len(trail), var << 1, False))
-            assign(var << 1)
-            search_from = var + 1
+            height, code, flipped = len(trail), var << 1, False
         else:
             while stack and stack[-1][2]:
                 stack.pop()
@@ -138,10 +126,11 @@ def solve(formula: CnfFormula, budget: int = DEFAULT_DECISION_BUDGET) -> SolveRe
                 val[undone] = 0
                 val[undone ^ 1] = 0
             qhead = height
-            decisions += 1
-            if decisions > budget:
-                return SolveResult(SolveStatus.BUDGET_EXCEEDED, None, decisions)
-            stack.append((height, code ^ 1, True))
-            assign(code ^ 1)
-            # variables below the decision variable are all still assigned
-            search_from = (code >> 1) + 1
+            code, flipped = code ^ 1, True
+        decisions += 1
+        if decisions > budget:
+            return SolveResult(SolveStatus.BUDGET_EXCEEDED, None, decisions)
+        stack.append((height, code, flipped))
+        assign(code)
+        # variables below the decision variable are all still assigned
+        search_from = (code >> 1) + 1

@@ -94,12 +94,23 @@ def _is_lex_least(target: tuple[Edge, ...]) -> bool:
     return not beaten([], 0, 0)
 
 
+class CheckedRecord:
+    """First base of the named-tuple records that check their fields in
+    __new__: _make builds through __new__, so _make and _replace check too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        return cls(*iterable)
+
+
 class _GraphFields(NamedTuple):
     p: int
     deleted: tuple[Edge, ...] = ()
 
 
-class DeletedEdgeGraph(_GraphFields):
+class DeletedEdgeGraph(CheckedRecord, _GraphFields):
     """K_p minus a (possibly empty) set of deleted edges.
 
     The deleted edges are normalised to canonical sorted tuples, so two
@@ -120,20 +131,10 @@ class DeletedEdgeGraph(_GraphFields):
             raise ValueError("duplicate deleted edge")
         return super().__new__(cls, p, canonical)
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> DeletedEdgeGraph:
-        """Build through __new__, so _make and _replace validate too."""
-        return cls(*iterable)
-
     def present_edges(self) -> list[Edge]:
         """The surviving edges, in lexicographic order."""
         gone = frozenset(self.deleted)
-        return [
-            (u, v)
-            for u in range(self.p)
-            for v in range(u + 1, self.p)
-            if (u, v) not in gone
-        ]
+        return [e for e in combinations(range(self.p), 2) if e not in gone]
 
 
 def subset_is_clique(graph: DeletedEdgeGraph, vertices: Iterable[int]) -> bool:

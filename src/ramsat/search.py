@@ -13,7 +13,7 @@ from .cnf import CnfFormula, decode, encode, symmetry_break
 from .coloring import EdgeColoring, Verdict, is_good
 from .dpll import DEFAULT_DECISION_BUDGET, SolveStatus, solve
 from .errors import BudgetExceededError, SearchExhaustedError, TheoremViolationError
-from .graphs import DeletedEdgeGraph, Edge, deletion_classes, edge_count
+from .graphs import DeletedEdgeGraph, Edge, deletion_classes, edge, edge_count
 
 DEFAULT_MAX_N = 14
 
@@ -95,8 +95,6 @@ def good_coloring(
 
     A budgeted-out solve raises BudgetExceededError rather than guessing.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     decision = decide(DeletedEdgeGraph(n, tuple(deleted)), s, t, budget=budget)
     if decision.status is SolveStatus.BUDGET_EXCEEDED:
         raise BudgetExceededError(
@@ -156,16 +154,15 @@ def extend_coloring(
     verdict = is_good(coloring, s, t)
     if not verdict.good:
         raise BadColoringError(verdict)
-    twin = old_p
-    extended_graph = DeletedEdgeGraph(old_p + 1, ((vertex, twin),))
-    assignment = dict(coloring.assignment)
-    for q in range(old_p):
-        if q == vertex:
-            continue
-        assignment[(q, twin)] = coloring.assignment[
-            (vertex, q) if vertex < q else (q, vertex)
-        ]
-    extended = EdgeColoring(extended_graph, assignment)
+    parent = [*range(old_p), vertex]  # new vertex i copies parent[i]
+    extended_graph = DeletedEdgeGraph(old_p + 1, ((vertex, old_p),))
+    extended = EdgeColoring(
+        extended_graph,
+        {
+            (u, v): coloring.assignment[edge(parent[u], parent[v])]
+            for u, v in extended_graph.present_edges()
+        },
+    )
     check = is_good(extended, s, t)
     if not check.good:
         raise TheoremViolationError(

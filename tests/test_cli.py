@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,18 @@ def write_red_k3(tmp_path):
     doc = ColoringDocument.from_coloring(make_coloring(3, {(0, 1), (0, 2), (1, 2)}))
     path.write_text(doc.to_json_text(), encoding="utf-8")
     return path
+
+
+def test_python_dash_m_ramsat_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramsat", "number", "-s", "3", "-t", "3"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "r(3,3) = 6\n")
 
 
 class TestNumber:

@@ -21,6 +21,7 @@ from ramsat import (
     find_mono_clique,
     is_good,
 )
+import ramsat.coloring
 from .conftest import C5_RED, make_coloring
 
 
@@ -107,6 +108,15 @@ class TestIsGood:
         coloring = make_coloring(6, {(0, 1), (0, 2), (1, 2)} | {(u, v) for u, v in combinations(range(6), 2) if (u < 3) != (v < 3)})
         verdict = is_good(coloring, 3, 3)
         assert verdict.witness == (Color.RED, (0, 1, 2))
+
+    def test_complete_graph_skips_the_clique_check(self, c5_coloring, monkeypatch):
+        # with no deleted edges every subset is a clique; nothing need ask
+        def called(graph, vertices):
+            raise AssertionError("subset_is_clique called on a complete graph")
+
+        monkeypatch.setattr(ramsat.coloring, "subset_is_clique", called)
+        assert is_good(c5_coloring, 3, 3) == (True, None)
+        assert is_good(c5_coloring, 3, 2).witness == (Color.BLUE, (0, 2))
 
     def test_twin_construction_by_hand(self, c5_coloring):
         # copy vertex 0's colors onto a new vertex 5, drop the twin edge

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from ramsat import (
+    DEFAULT_DECISION_BUDGET,
     CnfFormula,
     DeletedEdgeGraph,
     SolveStatus,
@@ -14,6 +15,7 @@ from ramsat import (
     is_good,
     solve,
 )
+from ramsat.cnf import symmetry_break
 
 
 def formula(num_vars: int, *clauses: tuple[int, ...]) -> CnfFormula:
@@ -63,6 +65,18 @@ class TestHandInstances:
         result = solve(formula(4, (1, 2, 3, 4), (-1,), (-2,), (-3,)))
         assert result.model == {1: False, 2: False, 3: False, 4: True}
 
+    @pytest.mark.parametrize(
+        "clauses",
+        [((1,), (-2,), (1, 2), ()), ((1,), (2, 3), (2,), (-1,))],
+        ids=["empty-clause-after-units", "unit-contradicts-earlier-unit"],
+    )
+    def test_loading_pass_refutes_without_deciding(self, clauses):
+        assert solve(formula(3, *clauses)) == (SolveStatus.UNSAT, None, 0)
+
+    def test_repeated_unit_is_sat(self):
+        result = solve(formula(2, (1,), (-1, 2), (1,)))
+        assert result == (SolveStatus.SAT, {1: True, 2: True}, 0)
+
 
 class TestRamseyInstances:
     def test_k5_33_sat(self):
@@ -95,6 +109,34 @@ class TestRamseyInstances:
         assert solve(encode(DeletedEdgeGraph(5), 3, 3)).status is SolveStatus.SAT
         assert solve(encode(DeletedEdgeGraph(5, ((0, 1),)), 3, 3)).status is SolveStatus.SAT
         assert solve(encode(DeletedEdgeGraph(5, ((0, 1), (2, 3))), 3, 3)).status is SolveStatus.SAT
+
+
+# (p, deleted, s, t, budget, status, decisions) of the search that decide runs
+PINNED_SEARCHES = [
+    (5, (), 3, 3, DEFAULT_DECISION_BUDGET, SolveStatus.SAT, 9),
+    (6, (), 3, 3, DEFAULT_DECISION_BUDGET, SolveStatus.UNSAT, 6),
+    (8, (), 3, 4, DEFAULT_DECISION_BUDGET, SolveStatus.SAT, 39),
+    (9, (), 3, 4, DEFAULT_DECISION_BUDGET, SolveStatus.UNSAT, 48),
+    (13, (), 3, 5, DEFAULT_DECISION_BUDGET, SolveStatus.SAT, 98),
+    (14, (), 3, 5, DEFAULT_DECISION_BUDGET, SolveStatus.UNSAT, 416),
+    (10, ((0, 1),), 3, 4, DEFAULT_DECISION_BUDGET, SolveStatus.UNSAT, 236),
+    (10, ((0, 1), (2, 3)), 3, 4, DEFAULT_DECISION_BUDGET, SolveStatus.SAT, 33),
+    (9, (), 3, 4, 47, SolveStatus.BUDGET_EXCEEDED, 48),
+]
+
+
+@pytest.mark.parametrize(
+    "p, deleted, s, t, budget, status, decisions",
+    PINNED_SEARCHES,
+    ids=[f"K{c[0]}-{len(c[1])}del-({c[2]},{c[3]})-{c[5].name}" for c in PINNED_SEARCHES],
+)
+def test_symmetry_broken_search_is_pinned(p, deleted, s, t, budget, status, decisions):
+    """Exact status and decision count, so any change to the branch order,
+    the phase or the decision count shows."""
+    graph = DeletedEdgeGraph(p, deleted)
+    broken = symmetry_break(graph, encode(graph, s, t))
+    result = solve(broken, budget)
+    assert (result.status, result.decisions) == (status, decisions)
 
 
 class TestDeterminism:
