@@ -51,17 +51,16 @@ class CnfFormula(CheckedRecord, _FormulaFields):
             raise ValueError("variable count must be non-negative")
         if len(var_map) > num_vars:
             raise ValueError("var_map is longer than the variable range")
+        allowed = frozenset(range(1, num_vars + 1))
         for clause in clauses:
-            seen: set[int] = set()
-            for lit in clause:
-                if lit == 0:
+            used = set(map(abs, clause))
+            if not used <= allowed:
+                bad = min(used - allowed)
+                if bad == 0:
                     raise ValueError("0 is not a literal")
-                var = abs(lit)
-                if var > num_vars:
-                    raise ValueError(f"literal {lit} outside 1..{num_vars}")
-                if var in seen:
-                    raise ValueError(f"variable {var} appears twice in a clause")
-                seen.add(var)
+                raise ValueError(f"variable {bad} outside 1..{num_vars}")
+            if len(used) < len(clause):
+                raise ValueError("a variable appears twice in a clause")
         return super().__new__(cls, num_vars, clauses, var_map)
 
 
@@ -85,64 +84,76 @@ def encode(graph: DeletedEdgeGraph, s: int, t: int) -> CnfFormula:
             f"over the limit of {MAX_CLAUSES:,}"
         )
     present = graph.present_edges()
-    var_of = {e: i + 1 for i, e in enumerate(present)}
-    clauses: list[tuple[int, ...]] = []
-    for subset in combinations(range(graph.p), s):
-        if subset_is_clique(graph, subset):
-            clauses.append(tuple(-var_of[pair] for pair in combinations(subset, 2)))
-    for subset in combinations(range(graph.p), t):
-        if subset_is_clique(graph, subset):
-            clauses.append(tuple(var_of[pair] for pair in combinations(subset, 2)))
+    not_red = {e: -v for v, e in enumerate(present, start=1)}
+    not_blue = {e: v for v, e in enumerate(present, start=1)}
+    deleted = graph.deleted  # with none, every subset is a clique
+    clauses = [
+        tuple(map(literal.__getitem__, combinations(subset, 2)))
+        for size, literal in ((s, not_red), (t, not_blue))
+        for subset in combinations(range(graph.p), size)
+        if not deleted or subset_is_clique(graph, subset)
+    ]
     return CnfFormula(len(present), tuple(clauses), tuple(present))
 
 
 def symmetry_break(graph: DeletedEdgeGraph, formula: CnfFormula) -> CnfFormula:
-    """The formula plus lex-leader clauses for the adjacent vertex swaps.
+    """The formula plus lex-leader clauses for swaps of twin vertices.
 
-    For each swap (i, i+1) that maps the deleted edges onto themselves,
-    row i of the red adjacency matrix must be lexicographically at most
-    row i+1 (false < true), compared over the columns k other than i and
-    i+1 where both edges are present (where one is deleted, so is the
-    other).  A chain of helper variables, numbered after the formula's,
-    carries "the rows agree so far"; with e for the current one (true at
-    the first column), e' for the next, and a, b for the two edges of a
-    column, each column adds ¬e ∨ ¬a ∨ b, ¬e ∨ ¬a ∨ e' and ¬e ∨ b ∨ e'
-    (the last column only the first).
+    Vertices i < j are twins when they have the same deleted neighbours,
+    not counting each other; each vertex i is paired with the next twin j
+    (on a complete graph, j = i+1).  For each pair, row i of the red
+    adjacency matrix must be lexicographically at most row j (false <
+    true), compared over the columns k other than i and j where both edges
+    are present (where one is deleted, so is the other).  A chain of helper
+    variables, numbered after the formula's, carries "the rows agree so
+    far"; with e for the current one (true at the first column), e' for
+    the next, and a, b for the two edges of a column, each column adds
+    ¬e ∨ ¬a ∨ b, ¬e ∨ ¬a ∨ e' and ¬e ∨ b ∨ e' (the last column only the
+    first).  Only these clauses are checked; the formula's already were.
 
-    Soundness (Crawford, Ginsberg, Luks & Roy, KR 1996): each such swap
-    is an automorphism of K_p minus the deleted edges, so it maps good
-    colorings to good colorings.  Read in the lexicographic edge order of
-    the variables, a coloring x and its image under the swap first differ
-    at the first column k where rows i and i+1 differ, where x has the
-    color of (i, k) and the image that of (i+1, k); so the row comparison
-    says exactly x <=lex swap(x).  The lex-least coloring of every orbit
-    under the automorphisms satisfies that for every swap, so the clauses
-    remove no orbit: an unsatisfiable formula stays unsatisfiable, and
-    the edge variables of any model are still a good coloring.
+    Soundness (Crawford, Ginsberg, Luks & Roy, KR 1996): the swap (i j) of
+    twins maps {i, k} to {j, k} for every other k and fixes every other
+    edge, so it maps the deleted edges onto themselves: it is an
+    automorphism of K_p minus the deleted edges and maps good colorings to
+    good colorings.  In the lexicographic edge order of the variables,
+    {i, k} precedes {j, k}, and the {i, k} come in ascending k (for k < i
+    both lie in row k; for k > i, {i, k} lies in row i and {j, k} later).
+    So a coloring x and its image first differ at {i, k} for the first
+    column k where rows i and j differ, where x has the color of {i, k}
+    and the image that of {j, k}: the row comparison says exactly
+    x <=lex (i j)(x).  The lex-least coloring of every orbit under the
+    automorphisms satisfies that for every such swap, so the clauses
+    remove no orbit: an unsatisfiable formula stays unsatisfiable, and the
+    edge variables of any model are still a good coloring.
     """
-    deleted = set(graph.deleted)
+    near = [
+        {v for e in graph.deleted if i in e for v in e} - {i} for i in range(graph.p)
+    ]
     var_of = {e: v for v, e in enumerate(formula.var_map, start=1)}
     num_vars = formula.num_vars
-    clauses = list(formula.clauses)
-    for i in range(graph.p - 1):
-        swap = {i: i + 1, i + 1: i}
-        if {edge(swap.get(u, u), swap.get(v, v)) for u, v in deleted} != deleted:
+    added: list[tuple[int, ...]] = []
+    for i in range(graph.p):
+        twins = (k for k in range(i + 1, graph.p) if near[i] - {k} == near[k] - {i})
+        j = next(twins, None)
+        if j is None:
             continue
         pairs = [
-            (var_of[edge(i, k)], var_of[edge(i + 1, k)])
+            (var_of[edge(i, k)], var_of[edge(j, k)])
             for k in range(graph.p)
-            if k not in (i, i + 1) and edge(i, k) not in deleted
+            if k not in (i, j) and k not in near[i]
         ]
         equal: tuple[int, ...] = ()
-        for j, (a, b) in enumerate(pairs):
-            clauses.append((*equal, -a, b))
-            if j == len(pairs) - 1:
+        for column, (a, b) in enumerate(pairs):
+            added.append((*equal, -a, b))
+            if column == len(pairs) - 1:
                 break
             num_vars += 1
-            clauses.append((*equal, -a, num_vars))
-            clauses.append((*equal, b, num_vars))
+            added.append((*equal, -a, num_vars))
+            added.append((*equal, b, num_vars))
             equal = (-num_vars,)
-    return CnfFormula(num_vars, tuple(clauses), formula.var_map)
+    clauses = formula.clauses + CnfFormula(num_vars, tuple(added), ()).clauses
+    # both parts are checked and fit the wider range: build without a re-check
+    return _FormulaFields.__new__(CnfFormula, num_vars, clauses, formula.var_map)
 
 
 def decode(assignment: Mapping[int, bool], graph: DeletedEdgeGraph) -> EdgeColoring:

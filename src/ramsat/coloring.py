@@ -114,11 +114,12 @@ def brute_force_good_coloring(
             f"{m} edges exceed the 2^{ENUMERATION_LIMIT} enumeration budget"
         )
     position = {e: i for i, e in enumerate(present)}
+    deleted = graph.deleted  # with none, every subset is a clique
 
     def clique_masks(k: int) -> list[int]:
         masks = []
         for subset in combinations(range(graph.p), k):
-            if subset_is_clique(graph, subset):
+            if not deleted or subset_is_clique(graph, subset):
                 mask = 0
                 for pair in combinations(subset, 2):
                     mask |= 1 << position[pair]

@@ -8,7 +8,9 @@ identical results, models included.
 
 Internally a literal is coded as 2*var for the positive and 2*var+1 for
 the negative phase, so `code ^ 1` negates and `code >> 1` recovers the
-variable.
+variable.  Clauses are loaded through a table indexed by literal:
+code_of[v] = 2v and code_of[-v] = 2v+1, a negative index counting from
+the end of the list.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ class SolveResult(NamedTuple):
     decisions: int
 
 
-def _code(lit: int) -> int:
-    return lit << 1 if lit > 0 else (-lit << 1) | 1
-
-
 def solve(formula: CnfFormula, budget: int = DEFAULT_DECISION_BUDGET) -> SolveResult:
     """Decide the formula, counting every branch assignment as a decision.
 
@@ -59,8 +57,9 @@ def solve(formula: CnfFormula, budget: int = DEFAULT_DECISION_BUDGET) -> SolveRe
         val[code ^ 1] = 2
         trail.append(code)
 
+    code_of = [v << 1 for v in range(n + 1)] + [v << 1 | 1 for v in range(n, 0, -1)]
     for clause in formula.clauses:
-        codes = [_code(lit) for lit in clause]
+        codes = list(map(code_of.__getitem__, clause))
         if len(codes) >= 2:
             # positions 0 and 1 are the watched literals
             watches[codes[0]].append(codes)
@@ -70,7 +69,8 @@ def solve(formula: CnfFormula, budget: int = DEFAULT_DECISION_BUDGET) -> SolveRe
         elif val[codes[0]] == 0:
             assign(codes[0])
 
-    def propagate() -> bool:
+    # the state is passed in because a local read is cheaper than a closure's
+    def propagate(val: list[int], watches: list, trail: list[int]) -> bool:
         """Run unit propagation to fixpoint; False means conflict."""
         nonlocal qhead
         while qhead < len(trail):
@@ -98,7 +98,9 @@ def solve(formula: CnfFormula, budget: int = DEFAULT_DECISION_BUDGET) -> SolveRe
                         kept.extend(watchlist[ci + 1 :])
                         watches[falsified] = kept
                         return False
-                    assign(other)
+                    val[other] = 1
+                    val[other ^ 1] = 2
+                    trail.append(other)
             watches[falsified] = kept
         return True
 
@@ -107,7 +109,7 @@ def solve(formula: CnfFormula, budget: int = DEFAULT_DECISION_BUDGET) -> SolveRe
     search_from = 1
 
     while True:
-        if propagate():
+        if propagate(val, watches, trail):
             if len(trail) == n:
                 model = {v: val[v << 1] == 1 for v in range(1, n + 1)}
                 return SolveResult(SolveStatus.SAT, model, decisions)

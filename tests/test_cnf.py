@@ -62,6 +62,13 @@ class TestCnfFormula:
         with pytest.raises(ValueError):
             CnfFormula(1, (), ((0, 1), (0, 2)))
 
+    @pytest.mark.parametrize("last", [0, 11, -11, 4, -4])
+    def test_checks_every_literal_of_a_wide_clause(self, last):
+        # ten literals, the width of a blue-blocking clause at t = 5; the
+        # bad one comes last
+        with pytest.raises(ValueError):
+            CnfFormula(10, ((*range(1, 10), last),), ())
+
 
 class TestEncode:
     def test_k3_exact_clauses(self):
@@ -176,12 +183,31 @@ class TestSymmetryBreak:
         formula = breaking_only(DeletedEdgeGraph(4))
         assert formula.clauses[:4] == ((-2, 4), (-2, 7), (4, 7), (-7, -3, 5))
 
-    def test_swaps_moving_a_deleted_edge_are_skipped(self):
-        # every adjacent swap moves (0,2) onto a present edge
-        assert breaking_only(DeletedEdgeGraph(4, ((0, 2),))).clauses == ()
-        # (0,1) is kept by the swaps (0,1) and (2,3) but not by (1,2)
+    def test_twins_swap_even_when_apart_or_joined_by_a_deleted_edge(self):
+        # K_4 minus 0-2: variables (0,1) (0,3) (1,2) (1,3) (2,3) = 1..5;
+        # swap (0,2) compares columns 1, 3, swap (1,3) columns 0, 2
+        formula = breaking_only(DeletedEdgeGraph(4, ((0, 2),)))
+        assert formula.num_vars == 5 + 2
+        assert formula.clauses == (
+            (-1, 3), (-1, 6), (3, 6), (-6, -2, 5),
+            (-1, 2), (-1, 7), (2, 7), (-7, -3, 5),
+        )
+        # K_4 minus 0-1: variables (0,2) (0,3) (1,2) (1,3) (2,3) = 1..5;
+        # swap (0,1) compares columns 2, 3, swap (2,3) columns 0, 1
         formula = breaking_only(DeletedEdgeGraph(4, ((0, 1),)))
-        assert (formula.num_vars, len(formula.clauses)) == (5 + 2, 8)
+        assert formula.num_vars == 5 + 2
+        assert formula.clauses == (
+            (-1, 3), (-1, 6), (3, 6), (-6, -2, 4),
+            (-1, 2), (-1, 7), (2, 7), (-7, -3, 4),
+        )
+
+    @pytest.mark.parametrize(
+        "graph", [DeletedEdgeGraph(14), DeletedEdgeGraph(10, ((2, 7),))]
+    )
+    def test_result_passes_the_full_check(self, graph):
+        # symmetry_break checks only the clauses it adds
+        formula = symmetry_break(graph, encode(graph, 3, 5))
+        assert CnfFormula._make(formula) == formula
 
     def test_rejects_a_row_above_the_next(self):
         # (0,2) red and (1,2) blue puts row 0 above row 1 at column 2
@@ -190,34 +216,39 @@ class TestSymmetryBreak:
         constrained = CnfFormula(3, formula.clauses + units, formula.var_map)
         assert solve(constrained).status is SolveStatus.UNSAT
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_every_orbit_keeps_its_lex_leader(self, n):
         # For every graph with at most two deleted edges and every coloring,
         # the lex-least relabelling by an automorphism (false < true, edges
-        # in variable order) satisfies the breaking clauses.
-        for k in range(3):
-            for deleted in combinations(combinations(range(n), 2), k):
-                graph = DeletedEdgeGraph(n, deleted)
-                present = graph.present_edges()
-                position = {e: i for i, e in enumerate(present)}
-                images = [
-                    [position[edge(perm[u], perm[v])] for u, v in present]
-                    for perm in permutations(range(n))
-                    if {edge(perm[u], perm[v]) for u, v in deleted} == set(deleted)
-                ]
-                leaders = {
-                    min(tuple(bits[i] for i in image) for image in images)
-                    for bits in product((False, True), repeat=len(present))
-                }
-                formula = breaking_only(graph)
-                for leader in leaders:
-                    units = tuple(
-                        (var if red else -var,) for var, red in enumerate(leader, 1)
-                    )
-                    fixed = CnfFormula(
-                        formula.num_vars, formula.clauses + units, formula.var_map
-                    )
-                    assert solve(fixed).status is SolveStatus.SAT, (deleted, leader)
+        # in variable order) satisfies the breaking clauses.  At n = 6 only
+        # K_6 minus 0-5, whose twins 0 and 5 are not adjacent labels.
+        if n == 6:
+            deletion_sets = [((0, 5),)]
+        else:
+            edges = list(combinations(range(n), 2))
+            deletion_sets = [d for k in range(3) for d in combinations(edges, k)]
+        for deleted in deletion_sets:
+            graph = DeletedEdgeGraph(n, deleted)
+            present = graph.present_edges()
+            position = {e: i for i, e in enumerate(present)}
+            images = [
+                [position[edge(perm[u], perm[v])] for u, v in present]
+                for perm in permutations(range(n))
+                if {edge(perm[u], perm[v]) for u, v in deleted} == set(deleted)
+            ]
+            leaders = {
+                min(tuple(bits[i] for i in image) for image in images)
+                for bits in product((False, True), repeat=len(present))
+            }
+            formula = breaking_only(graph)
+            for leader in leaders:
+                units = tuple(
+                    (var if red else -var,) for var, red in enumerate(leader, 1)
+                )
+                fixed = CnfFormula(
+                    formula.num_vars, formula.clauses + units, formula.var_map
+                )
+                assert solve(fixed).status is SolveStatus.SAT, (deleted, leader)
 
 
 class TestDecode:

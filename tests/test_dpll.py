@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from ramsat import (
@@ -137,6 +139,24 @@ def test_symmetry_broken_search_is_pinned(p, deleted, s, t, budget, status, deci
     broken = symmetry_break(graph, encode(graph, s, t))
     result = solve(broken, budget)
     assert (result.status, result.decisions) == (status, decisions)
+
+
+# K_10 minus one edge at (3,4): exact decision counts, and the most any edge takes
+K10_MINUS_EDGE_DECISIONS = {(0, 1): 236, (2, 7): 108, (3, 7): 112}
+K10_MINUS_EDGE_MOST = 236
+
+
+def test_k10_minus_any_edge_is_unsat_within_pinned_decisions():
+    """Twins that are not adjacent labels, such as 1 and 3 or 2 and 7 in
+    K_10 minus 2-7, keep their lex-leader clauses, so every edge is cheap."""
+    counts = {}
+    for deleted in combinations(range(10), 2):
+        graph = DeletedEdgeGraph(10, (deleted,))
+        result = solve(symmetry_break(graph, encode(graph, 3, 4)))
+        assert result.status is SolveStatus.UNSAT, deleted
+        counts[deleted] = result.decisions
+    assert max(counts.values()) == K10_MINUS_EDGE_MOST
+    assert {e: counts[e] for e in K10_MINUS_EDGE_DECISIONS} == K10_MINUS_EDGE_DECISIONS
 
 
 class TestDeterminism:
