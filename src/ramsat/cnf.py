@@ -14,7 +14,7 @@ formula is unsatisfiable on any graph with a vertex.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Mapping, NamedTuple
 
 from .coloring import Color, EdgeColoring
@@ -51,15 +51,14 @@ class CnfFormula(CheckedRecord, _FormulaFields):
             raise ValueError("variable count must be non-negative")
         if len(var_map) > num_vars:
             raise ValueError("var_map is longer than the variable range")
-        allowed = frozenset(range(1, num_vars + 1))
+        literals = set(chain.from_iterable(clauses))
+        if 0 in literals:
+            raise ValueError("0 is not a literal")
+        top = max(map(abs, literals), default=0)
+        if top > num_vars:
+            raise ValueError(f"variable {top} outside 1..{num_vars}")
         for clause in clauses:
-            used = set(map(abs, clause))
-            if not used <= allowed:
-                bad = min(used - allowed)
-                if bad == 0:
-                    raise ValueError("0 is not a literal")
-                raise ValueError(f"variable {bad} outside 1..{num_vars}")
-            if len(used) < len(clause):
+            if len(set(map(abs, clause))) < len(clause):
                 raise ValueError("a variable appears twice in a clause")
         return super().__new__(cls, num_vars, clauses, var_map)
 
@@ -86,12 +85,11 @@ def encode(graph: DeletedEdgeGraph, s: int, t: int) -> CnfFormula:
     present = graph.present_edges()
     not_red = {e: -v for v, e in enumerate(present, start=1)}
     not_blue = {e: v for v, e in enumerate(present, start=1)}
-    deleted = graph.deleted  # with none, every subset is a clique
     clauses = [
         tuple(map(literal.__getitem__, combinations(subset, 2)))
         for size, literal in ((s, not_red), (t, not_blue))
         for subset in combinations(range(graph.p), size)
-        if not deleted or subset_is_clique(graph, subset)
+        if subset_is_clique(graph, subset)
     ]
     return CnfFormula(len(present), tuple(clauses), tuple(present))
 

@@ -62,11 +62,20 @@ class TestCnfFormula:
         with pytest.raises(ValueError):
             CnfFormula(1, (), ((0, 1), (0, 2)))
 
-    @pytest.mark.parametrize("last", [0, 11, -11, 4, -4])
-    def test_checks_every_literal_of_a_wide_clause(self, last):
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            (0, "0 is not a literal"),
+            (11, r"variable 11 outside 1\.\.10"),
+            (-11, r"variable 11 outside 1\.\.10"),
+            (4, "a variable appears twice in a clause"),
+            (-4, "a variable appears twice in a clause"),
+        ],
+    )
+    def test_checks_every_literal_of_a_wide_clause(self, last, message):
         # ten literals, the width of a blue-blocking clause at t = 5; the
         # bad one comes last
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             CnfFormula(10, ((*range(1, 10), last),), ())
 
 
