@@ -10,14 +10,7 @@ minimal-deletion search.
 """
 
 from .cnf import CnfFormula, decode, encode, export_dimacs
-from .coloring import (
-    Color,
-    EdgeColoring,
-    Verdict,
-    brute_force_good_coloring,
-    find_mono_clique,
-    is_good,
-)
+from .coloring import Color, EdgeColoring, Verdict, is_good
 from .document import ColoringDocument
 from .dpll import DEFAULT_DECISION_BUDGET, SolveResult, SolveStatus, solve
 from .errors import (
@@ -70,7 +63,6 @@ __all__ = [
     "SolveStatus",
     "TheoremViolationError",
     "Verdict",
-    "brute_force_good_coloring",
     "decide",
     "decode",
     "edge",
@@ -78,7 +70,6 @@ __all__ = [
     "encode",
     "export_dimacs",
     "extend_coloring",
-    "find_mono_clique",
     "good_coloring",
     "is_good",
     "min_deletions",

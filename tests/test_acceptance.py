@@ -20,7 +20,6 @@ from ramsat import (
     DeletedEdgeGraph,
     EdgeColoring,
     SolveStatus,
-    brute_force_good_coloring,
     decode,
     encode,
     extend_coloring,
@@ -29,6 +28,7 @@ from ramsat import (
     ramsey_number,
     solve,
 )
+from .oracle import brute_force_good_coloring
 
 CLI = [sys.executable, "-m", "ramsat.cli"]
 

@@ -17,12 +17,11 @@ from ramsat import (
     Color,
     DeletedEdgeGraph,
     EdgeColoring,
-    brute_force_good_coloring,
-    find_mono_clique,
     is_good,
 )
 import ramsat.coloring
 from .conftest import C5_RED, make_coloring
+from .oracle import brute_force_good_coloring
 
 
 def naive_is_good(coloring: EdgeColoring, s: int, t: int) -> bool:
@@ -63,33 +62,46 @@ class TestEdgeColoring:
 
 
 class TestFindMonoClique:
+    """The monochromatic-clique search, seen through is_good's witness."""
+
     def test_all_red_triangle(self):
         coloring = make_coloring(3, {(0, 1), (0, 2), (1, 2)})
-        assert find_mono_clique(coloring, Color.RED, 3) == (0, 1, 2)
-        assert find_mono_clique(coloring, Color.BLUE, 2) is None
+        assert is_good(coloring, 3, 3) == (False, (Color.RED, (0, 1, 2)))
+        # no red K_4 on three vertices and no blue edge at all
+        assert is_good(coloring, 4, 2) == (True, None)
 
     def test_single_vertex_clique(self, c5_coloring):
-        assert find_mono_clique(c5_coloring, Color.RED, 1) == (0,)
-        assert find_mono_clique(c5_coloring, Color.BLUE, 1) == (0,)
+        assert is_good(c5_coloring, 1, 3).witness == (Color.RED, (0,))
+        assert is_good(c5_coloring, 3, 1).witness == (Color.BLUE, (0,))
+        assert is_good(make_coloring(1, set()), 2, 1).witness == (Color.BLUE, (0,))
+        # K_0 has no vertex, so not even a K_1
+        assert is_good(make_coloring(0, set()), 1, 1) == (True, None)
 
     def test_size_zero_rejected(self, c5_coloring):
-        with pytest.raises(ValueError):
-            find_mono_clique(c5_coloring, Color.RED, 0)
+        for s, t in ((0, 3), (3, 0)):
+            with pytest.raises(ValueError, match="at least 1"):
+                is_good(c5_coloring, s, t)
+        # the blue size is checked only once no red clique was found
+        red_k3 = make_coloring(3, {(0, 1), (0, 2), (1, 2)})
+        assert is_good(red_k3, 3, 0) == (False, (Color.RED, (0, 1, 2)))
 
     def test_returns_lexicographically_first(self):
         # red edges (1,2),(1,3),(2,3) and (2,4),(3,4): triangles (1,2,3) and (2,3,4)
         coloring = make_coloring(5, {(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)})
-        assert find_mono_clique(coloring, Color.RED, 3) == (1, 2, 3)
+        assert is_good(coloring, 3, 3).witness == (Color.RED, (1, 2, 3))
+        # no red K_4; (0,1,4) is the first of the blue triangles
+        assert is_good(coloring, 4, 3).witness == (Color.BLUE, (0, 1, 4))
 
     def test_deleted_edges_disqualify_subsets(self):
-        # all-blue K_6 minus (0,5): triples through the gap are not cliques
-        coloring = make_coloring(6, set(), deleted=((0, 5),))
-        assert find_mono_clique(coloring, Color.BLUE, 3) == (0, 1, 2)
+        # all-blue K_6 minus (0,1): triples through the gap are not cliques
+        coloring = make_coloring(6, set(), deleted=((0, 1),))
+        assert is_good(coloring, 3, 3).witness == (Color.BLUE, (0, 2, 3))
+        assert is_good(coloring, 3, 5).witness == (Color.BLUE, (0, 2, 3, 4, 5))
         gap = make_coloring(3, set(), deleted=((0, 2),))
-        assert find_mono_clique(gap, Color.BLUE, 3) is None
+        assert is_good(gap, 3, 3) == (True, None)
 
     def test_oversized_clique_absent(self, c5_coloring):
-        assert find_mono_clique(c5_coloring, Color.RED, 6) is None
+        assert is_good(c5_coloring, 6, 6) == (True, None)
 
 
 class TestIsGood:

@@ -11,13 +11,13 @@ from ramsat import (
     CnfFormula,
     DeletedEdgeGraph,
     SolveStatus,
-    brute_force_good_coloring,
     decode,
     encode,
     is_good,
     solve,
 )
 from ramsat.cnf import symmetry_break
+from .oracle import brute_force_good_coloring
 
 
 def formula(num_vars: int, *clauses: tuple[int, ...]) -> CnfFormula:

@@ -3,9 +3,25 @@
 from __future__ import annotations
 
 import ramsat
+import ramsat.coloring
+import ramsat.graphs
 
 
 def test_all_names_resolve_without_duplicates():
     assert len(set(ramsat.__all__)) == len(ramsat.__all__)
     for name in ramsat.__all__:
         assert hasattr(ramsat, name), name
+
+
+def test_test_scaffolding_is_not_exported():
+    # the exhaustive oracle lives in tests/oracle.py; is_good is the one verifier
+    for name in ("find_mono_clique", "brute_force_good_coloring", "ENUMERATION_LIMIT"):
+        assert name not in ramsat.__all__
+        assert not hasattr(ramsat, name), name
+        assert not hasattr(ramsat.coloring, name), name
+
+
+def test_subset_is_clique_stays_a_graphs_global():
+    # the benchmark's layer tracer wraps it there and at each import site
+    assert callable(ramsat.graphs.subset_is_clique)
+    assert ramsat.coloring.subset_is_clique is ramsat.graphs.subset_is_clique

@@ -15,7 +15,6 @@ from ramsat import (
     EdgeColoring,
     SearchExhaustedError,
     SolveStatus,
-    brute_force_good_coloring,
     decide,
     encode,
     extend_coloring,
@@ -25,6 +24,7 @@ from ramsat import (
     ramsey_number,
 )
 from .conftest import make_coloring
+from .oracle import brute_force_good_coloring
 
 
 class TestDecide:
