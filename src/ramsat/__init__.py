@@ -31,7 +31,6 @@ from .search import (
     DEFAULT_MAX_N,
     BadColoringError,
     Decision,
-    DeletionResult,
     RamseyResult,
     decide,
     extend_coloring,
@@ -52,7 +51,6 @@ __all__ = [
     "DEFAULT_MAX_N",
     "Decision",
     "DeletedEdgeGraph",
-    "DeletionResult",
     "DocumentError",
     "Edge",
     "EdgeColoring",

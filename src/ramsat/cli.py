@@ -183,7 +183,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     graph = DeletedEdgeGraph(args.n, tuple(args.delete))
     decision = decide(graph, args.s, args.t, budget=args.budget)
     if args.dimacs:
-        _write(args.dimacs, export_dimacs(decision.formula))
+        _write(args.dimacs, export_dimacs(decision.formula, graph))
     if decision.status is SolveStatus.BUDGET_EXCEEDED:
         print("BUDGET EXCEEDED")
         return EXIT_BUDGET
@@ -222,17 +222,15 @@ def cmd_extend(args: argparse.Namespace) -> int:
 def cmd_min_deletions(args: argparse.Namespace) -> int:
     k_max = args.p - 1 if args.max_k is None else args.max_k
     try:
-        result = min_deletions(args.s, args.t, args.p, k_max, budget=args.budget)
+        coloring = min_deletions(args.s, args.t, args.p, k_max, budget=args.budget)
     except SearchExhaustedError:
         print(f"e > {k_max}")
         return EXIT_EXHAUSTED
-    print(f"e = {result.e}")
-    if result.deleted:
-        print(f"deleted: {' '.join(_format_edge(e) for e in result.deleted)}")
-    else:
-        print("deleted: none")
+    deleted = coloring.graph.deleted
+    print(f"e = {len(deleted)}")
+    print(f"deleted: {' '.join(map(_format_edge, deleted)) or 'none'}")
     if args.json:
-        _write_coloring(args.json, result.coloring)
+        _write_coloring(args.json, coloring)
     return EXIT_OK
 
 

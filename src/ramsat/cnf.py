@@ -23,34 +23,26 @@ from .graphs import CheckedRecord, DeletedEdgeGraph, Edge, edge, subset_is_cliqu
 # Largest clause count encode will build.  The biggest instance the
 # classical questions need, K_14 at (3,5), has 2,366 clauses.
 MAX_CLAUSES = 1_000_000
+# Largest count of variables plus literals encode will build.  K_23 at
+# (3,7), the instance that r(3,7) = 23 turns on, needs 253 + 5,153,610.
+MAX_SIZE = 10_000_000
 
 
 class _FormulaFields(NamedTuple):
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
-    var_map: tuple[Edge, ...]
 
 
 class CnfFormula(CheckedRecord, _FormulaFields):
-    """An immutable clause set in DIMACS conventions.
-
-    Variables 1..len(var_map) stand for the present edges of the source
-    graph in lexicographic order (var_map[v-1] is the edge of variable v).
-    Literals are signed integers.
-    """
+    """An immutable clause set in DIMACS conventions: variables 1..num_vars,
+    literals signed integers.  In an encoding, variable v stands for the
+    edge present_edges()[v-1] of the encoded graph."""
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        num_vars: int,
-        clauses: tuple[tuple[int, ...], ...],
-        var_map: tuple[Edge, ...],
-    ) -> CnfFormula:
+    def __new__(cls, num_vars: int, clauses: tuple[tuple[int, ...], ...]) -> CnfFormula:
         if num_vars < 0:
             raise ValueError("variable count must be non-negative")
-        if len(var_map) > num_vars:
-            raise ValueError("var_map is longer than the variable range")
         literals = set(chain.from_iterable(clauses))
         if 0 in literals:
             raise ValueError("0 is not a literal")
@@ -60,7 +52,31 @@ class CnfFormula(CheckedRecord, _FormulaFields):
         for clause in clauses:
             if len(set(map(abs, clause))) < len(clause):
                 raise ValueError("a variable appears twice in a clause")
-        return super().__new__(cls, num_vars, clauses, var_map)
+        return super().__new__(cls, num_vars, clauses)
+
+
+def check_size(p: int, s: int, t: int) -> None:
+    """Raise ValueError unless encode may build K_p at (s,t).
+
+    Both bounds ignore deletions: at most C(p,s) + C(p,t) clauses, and at
+    most C(p,2) variables plus C(p,s)·C(s,2) + C(p,t)·C(t,2) literals.
+    """
+    if p < 1:
+        raise ValueError("graph must have at least one vertex")
+    if s < 1 or t < 1:
+        raise ValueError("clique sizes must be at least 1")
+    bound = math.comb(p, s) + math.comb(p, t)
+    if bound > MAX_CLAUSES:
+        raise ValueError(
+            f"K_{p} at ({s},{t}) needs up to {bound:,} clauses, "
+            f"over the limit of {MAX_CLAUSES:,}"
+        )
+    size = math.comb(p, 2) + sum(math.comb(p, k) * math.comb(k, 2) for k in (s, t))
+    if size > MAX_SIZE:
+        raise ValueError(
+            f"K_{p} at ({s},{t}) needs up to {size:,} variables and literals, "
+            f"over the limit of {MAX_SIZE:,}"
+        )
 
 
 def encode(graph: DeletedEdgeGraph, s: int, t: int) -> CnfFormula:
@@ -68,20 +84,10 @@ def encode(graph: DeletedEdgeGraph, s: int, t: int) -> CnfFormula:
 
     Clause order is fixed: all red-blocking clauses in subset order, then
     all blue-blocking clauses in subset order.  Identical inputs give
-    identical formulas.  An instance that could need more than MAX_CLAUSES
-    clauses, counting C(p,s) + C(p,t) before deletions, raises ValueError
-    before any clause is built.
+    identical formulas.  An instance that `check_size` refuses raises
+    ValueError before any clause is built.
     """
-    if graph.p < 1:
-        raise ValueError("graph must have at least one vertex")
-    if s < 1 or t < 1:
-        raise ValueError("clique sizes must be at least 1")
-    bound = math.comb(graph.p, s) + math.comb(graph.p, t)
-    if bound > MAX_CLAUSES:
-        raise ValueError(
-            f"K_{graph.p} at ({s},{t}) needs up to {bound:,} clauses, "
-            f"over the limit of {MAX_CLAUSES:,}"
-        )
+    check_size(graph.p, s, t)
     present = graph.present_edges()
     not_red = {e: -v for v, e in enumerate(present, start=1)}
     not_blue = {e: v for v, e in enumerate(present, start=1)}
@@ -91,7 +97,7 @@ def encode(graph: DeletedEdgeGraph, s: int, t: int) -> CnfFormula:
         for subset in combinations(range(graph.p), size)
         if subset_is_clique(graph, subset)
     ]
-    return CnfFormula(len(present), tuple(clauses), tuple(present))
+    return CnfFormula(len(present), tuple(clauses))
 
 
 def symmetry_break(graph: DeletedEdgeGraph, formula: CnfFormula) -> CnfFormula:
@@ -127,7 +133,7 @@ def symmetry_break(graph: DeletedEdgeGraph, formula: CnfFormula) -> CnfFormula:
     near = [
         {v for e in graph.deleted if i in e for v in e} - {i} for i in range(graph.p)
     ]
-    var_of = {e: v for v, e in enumerate(formula.var_map, start=1)}
+    var_of = {e: v for v, e in enumerate(graph.present_edges(), start=1)}
     num_vars = formula.num_vars
     added: list[tuple[int, ...]] = []
     for i in range(graph.p):
@@ -149,9 +155,9 @@ def symmetry_break(graph: DeletedEdgeGraph, formula: CnfFormula) -> CnfFormula:
             added.append((*equal, -a, num_vars))
             added.append((*equal, b, num_vars))
             equal = (-num_vars,)
-    clauses = formula.clauses + CnfFormula(num_vars, tuple(added), ()).clauses
+    clauses = formula.clauses + CnfFormula(num_vars, tuple(added)).clauses
     # both parts are checked and fit the wider range: build without a re-check
-    return _FormulaFields.__new__(CnfFormula, num_vars, clauses, formula.var_map)
+    return _FormulaFields.__new__(CnfFormula, num_vars, clauses)
 
 
 def decode(assignment: Mapping[int, bool], graph: DeletedEdgeGraph) -> EdgeColoring:
@@ -169,15 +175,15 @@ def decode(assignment: Mapping[int, bool], graph: DeletedEdgeGraph) -> EdgeColor
     return EdgeColoring(graph, colors)
 
 
-def export_dimacs(formula: CnfFormula) -> str:
-    """Render DIMACS CNF text, with one comment line per edge variable.
+def export_dimacs(formula: CnfFormula, graph: DeletedEdgeGraph) -> str:
+    """Render DIMACS CNF text, with one comment line per edge of the graph.
 
     Output is byte-deterministic: LF line endings, single spaces, comments
     before the header.
     """
     lines = [
         f"c var {var} = edge ({u},{v})"
-        for var, (u, v) in enumerate(formula.var_map, start=1)
+        for var, (u, v) in enumerate(graph.present_edges(), start=1)
     ]
     lines.append(f"p cnf {formula.num_vars} {len(formula.clauses)}")
     for clause in formula.clauses:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .cnf import CnfFormula, decode, encode, symmetry_break
+from .cnf import CnfFormula, check_size, decode, encode, symmetry_break
 from .coloring import EdgeColoring, Verdict, is_good
 from .dpll import DEFAULT_DECISION_BUDGET, SolveStatus, solve
 from .errors import BudgetExceededError, SearchExhaustedError, TheoremViolationError
@@ -23,14 +23,6 @@ class RamseyResult(NamedTuple):
 
     p: int
     witness: Optional[EdgeColoring]
-
-
-class DeletionResult(NamedTuple):
-    """Minimal deletion count e, one minimal deletion set, and a coloring."""
-
-    e: int
-    deleted: tuple[Edge, ...]
-    coloring: EdgeColoring
 
 
 class Decision(NamedTuple):
@@ -179,8 +171,11 @@ def min_deletions(
     k_max: int,
     *,
     budget: int = DEFAULT_DECISION_BUDGET,
-) -> DeletionResult:
-    """Fewest deletions from K_p that admit a good coloring, up to k_max.
+) -> EdgeColoring:
+    """A good coloring of K_p minus the fewest deletions, up to k_max.
+
+    The deleted edges are the coloring's `graph.deleted`, their number the
+    minimal count e.
 
     Relabelling the vertices of K_p maps good colorings to good colorings,
     so whether K_p minus D is colorable depends only on the isomorphism
@@ -191,18 +186,20 @@ def min_deletions(
     it lies in a class whose representative comes earlier still, and that
     representative was not colorable.  It is solved as the same formula a
     scan of all C(m,k) sets would solve, so the coloring is the same too.
-    Raises SearchExhaustedError when k_max deletions are still not enough.
+    Raises SearchExhaustedError when k_max deletions are still not enough,
+    and ValueError, before any class is built, when `check_size` refuses K_p.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
     m = edge_count(p)
     if not 0 <= k_max <= m:
         raise ValueError(f"k_max must be between 0 and {m}")
+    check_size(p, s, t)
     for k in range(k_max + 1):
         for deleted in deletion_classes(p, k):
             coloring = good_coloring(p, s, t, deleted, budget=budget)
             if coloring is not None:
-                return DeletionResult(k, deleted, coloring)
+                return coloring
     raise SearchExhaustedError(
         f"no deletion set of size <= {k_max} admits a good coloring of K_{p}"
     )

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import ramsat.search
 from ramsat import Color, DeletedEdgeGraph, EdgeColoring
 
 
@@ -39,3 +40,16 @@ def c5_coloring() -> EdgeColoring:
         colors = {coloring.assignment[pair] for pair in combinations(triple, 2)}
         assert len(colors) == 2, f"triple {triple} is monochromatic"
     return coloring
+
+
+@pytest.fixture
+def nothing_built(monkeypatch):
+    """Make building any instance fail: a graph's edge list and the
+    deletion classes raise AssertionError, so a size-guard test never
+    builds the oversized instance it names."""
+
+    def built(*args):
+        raise AssertionError("an instance was built past the size guard")
+
+    monkeypatch.setattr(DeletedEdgeGraph, "present_edges", built)
+    monkeypatch.setattr(ramsat.search, "deletion_classes", built)

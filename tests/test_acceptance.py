@@ -74,10 +74,11 @@ def test_criterion_1_r33_under_a_second():
 
 def test_criterion_2_single_deletion_suffices_at_6():
     start = time.perf_counter()
-    result = min_deletions(3, 3, 6, 3)
-    ok = result.e == 1 and is_good(result.coloring, 3, 3).good
+    coloring = min_deletions(3, 3, 6, 3)
+    deleted = coloring.graph.deleted
+    ok = len(deleted) == 1 and is_good(coloring, 3, 3).good
     # independent confirmation on the reported graph: 2^14 enumeration
-    graph = DeletedEdgeGraph(6, result.deleted)
+    graph = DeletedEdgeGraph(6, deleted)
     oracle = brute_force_good_coloring(graph, 3, 3)
     ok = ok and oracle is not None and naive_good(oracle, 3, 3)
     # and zero deletions really do not suffice
@@ -87,7 +88,7 @@ def test_criterion_2_single_deletion_suffices_at_6():
     report(
         "criterion 2: e = 1 for (3,3) at p = 6, oracle-confirmed",
         ok,
-        f"e={result.e}, deleted={result.deleted}, {elapsed:.2f}s",
+        f"e={len(deleted)}, deleted={deleted}, {elapsed:.2f}s",
     )
 
 
@@ -123,13 +124,13 @@ def test_criterion_3_extension_works_from_every_good_k5_coloring():
 
 
 def test_criterion_4_deletion_bound():
-    r33 = min_deletions(3, 3, 6, 5)
-    r34 = min_deletions(3, 4, 9, 8)
-    ok = 1 <= r33.e <= 6 - 1 and 1 <= r34.e <= 9 - 1
+    r33 = len(min_deletions(3, 3, 6, 5).graph.deleted)
+    r34 = len(min_deletions(3, 4, 9, 8).graph.deleted)
+    ok = 1 <= r33 <= 6 - 1 and 1 <= r34 <= 9 - 1
     report(
         "criterion 4: 1 <= e <= p-1 at (3,3,p=6) and (3,4,p=9)",
         ok,
-        f"e(3,3,6)={r33.e}, e(3,4,9)={r34.e}",
+        f"e(3,3,6)={r33}, e(3,4,9)={r34}",
     )
 
 

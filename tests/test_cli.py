@@ -211,6 +211,15 @@ class TestVerify:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.json"), "-s", "3", "-t", "3"]) == 2
 
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        assert main(["verify", str(path), "-s", "3", "-t", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not valid JSON: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestExtend:
     def test_extends_c5(self, tmp_path, capsys):
@@ -308,6 +317,12 @@ class TestMinDeletions:
         assert capsys.readouterr().out == (
             "BUDGET EXCEEDED: budget of 2 decisions exceeded at n = 6\n"
         )
+
+    def test_oversized_instance_refused(self, nothing_built, capsys):
+        assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "over the limit of 1,000,000" in captured.err
 
     def test_invalid_max_k(self, capsys):
         assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "4", "--max-k", "9"]) == 2

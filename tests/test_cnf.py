@@ -44,23 +44,19 @@ def satisfies(formula: CnfFormula, word: int) -> bool:
 class TestCnfFormula:
     def test_rejects_zero_literal(self):
         with pytest.raises(ValueError):
-            CnfFormula(2, ((1, 0),), ((0, 1), (0, 2)))
+            CnfFormula(2, ((1, 0),))
 
     def test_rejects_out_of_range_literal(self):
         with pytest.raises(ValueError):
-            CnfFormula(2, ((3,),), ((0, 1), (0, 2)))
+            CnfFormula(2, ((3,),))
 
     def test_rejects_duplicate_variable(self):
         with pytest.raises(ValueError):
-            CnfFormula(2, ((1, 1),), ((0, 1), (0, 2)))
+            CnfFormula(2, ((1, 1),))
 
     def test_rejects_complementary_pair(self):
         with pytest.raises(ValueError):
-            CnfFormula(2, ((1, -1),), ((0, 1), (0, 2)))
-
-    def test_rejects_var_map_overflow(self):
-        with pytest.raises(ValueError):
-            CnfFormula(1, (), ((0, 1), (0, 2)))
+            CnfFormula(2, ((1, -1),))
 
     @pytest.mark.parametrize(
         "last, message",
@@ -76,7 +72,7 @@ class TestCnfFormula:
         # ten literals, the width of a blue-blocking clause at t = 5; the
         # bad one comes last
         with pytest.raises(ValueError, match=message):
-            CnfFormula(10, ((*range(1, 10), last),), ())
+            CnfFormula(10, ((*range(1, 10), last),))
 
 
 class TestEncode:
@@ -84,7 +80,6 @@ class TestEncode:
         formula = encode(DeletedEdgeGraph(3), 3, 3)
         assert formula.num_vars == 3
         assert formula.clauses == ((-1, -2, -3), (1, 2, 3))
-        assert formula.var_map == ((0, 1), (0, 2), (1, 2))
 
     def test_k6_counts(self):
         formula = encode(DeletedEdgeGraph(6), 3, 3)
@@ -108,8 +103,6 @@ class TestEncode:
         )
         assert spanning == 4
         assert len(formula.clauses) == 2 * (20 - spanning)
-        assert (0, 5) not in formula.var_map
-        assert formula.var_map[4] == (1, 2)
 
     def test_asymmetric_sizes(self):
         formula = encode(DeletedEdgeGraph(5), 3, 4)
@@ -146,6 +139,31 @@ class TestEncode:
         with pytest.raises(ValueError, match="over the limit of 39"):
             encode(DeletedEdgeGraph(6, ((0, 1),)), 3, 3)
 
+    @pytest.mark.parametrize(
+        "n, s, t, size",
+        [(1000, 999, 999, "997,501,500"), (5000, 5000, 5000, "37,492,500")],
+    )
+    def test_size_limit_counts_variables_and_literals(
+        self, nothing_built, n, s, t, size
+    ):
+        # two clauses each, but C(n,2) variables and clauses of C(s,2) literals
+        message = f"needs up to {size} variables and literals"
+        with pytest.raises(ValueError, match=message):
+            encode(DeletedEdgeGraph(n), s, t)
+
+    def test_size_limit_admits_k23_at_3_7(self, nothing_built):
+        # 253 variables and 5,153,610 literals: past both checks
+        with pytest.raises(AssertionError, match="past the size guard"):
+            encode(DeletedEdgeGraph(23), 3, 7)
+
+    def test_size_limit_is_exact(self, monkeypatch):
+        # K_6 at (3,3): 15 variables and 40 clauses of 3 literals
+        monkeypatch.setattr(ramsat.cnf, "MAX_SIZE", 135)
+        assert encode(DeletedEdgeGraph(6), 3, 3).num_vars == 15
+        monkeypatch.setattr(ramsat.cnf, "MAX_SIZE", 134)
+        with pytest.raises(ValueError, match="135 variables and literals"):
+            encode(DeletedEdgeGraph(6), 3, 3)
+
     def test_soundness_exhaustive_k4(self):
         # every assignment satisfies the formula iff its coloring is good
         graph = DeletedEdgeGraph(4)
@@ -167,8 +185,7 @@ class TestEncode:
 
 def breaking_only(graph: DeletedEdgeGraph) -> CnfFormula:
     """The lex-leader clauses of the graph over an otherwise empty formula."""
-    present = tuple(graph.present_edges())
-    return symmetry_break(graph, CnfFormula(len(present), (), present))
+    return symmetry_break(graph, CnfFormula(len(graph.present_edges()), ()))
 
 
 class TestSymmetryBreak:
@@ -185,7 +202,6 @@ class TestSymmetryBreak:
         assert broken.num_vars == plain.num_vars + 8
         assert len(broken.clauses) == len(plain.clauses) + 28
         assert broken.clauses[: len(plain.clauses)] == plain.clauses
-        assert broken.var_map == plain.var_map
 
     def test_helper_chain(self):
         # K_4 rows 0 and 1 over columns 2, 3; helper 7 = "equal at column 2"
@@ -211,18 +227,26 @@ class TestSymmetryBreak:
         )
 
     @pytest.mark.parametrize(
-        "graph", [DeletedEdgeGraph(14), DeletedEdgeGraph(10, ((2, 7),))]
+        "graph",
+        [DeletedEdgeGraph(14), DeletedEdgeGraph(10, ((2, 7),))]
+        + [
+            DeletedEdgeGraph(n, deleted)
+            for n in range(1, 7)
+            for k in range(3)
+            for deleted in combinations(combinations(range(n), 2), k)
+        ],
     )
     def test_result_passes_the_full_check(self, graph):
         # symmetry_break checks only the clauses it adds
-        formula = symmetry_break(graph, encode(graph, 3, 5))
-        assert CnfFormula._make(formula) == formula
+        for s, t in ((3, 3), (3, 4), (4, 4), (3, 5)):
+            formula = symmetry_break(graph, encode(graph, s, t))
+            assert CnfFormula._make(formula) == formula
 
     def test_rejects_a_row_above_the_next(self):
         # (0,2) red and (1,2) blue puts row 0 above row 1 at column 2
         units = ((-1,), (2,), (-3,))
         formula = breaking_only(DeletedEdgeGraph(3))
-        constrained = CnfFormula(3, formula.clauses + units, formula.var_map)
+        constrained = CnfFormula(3, formula.clauses + units)
         assert solve(constrained).status is SolveStatus.UNSAT
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -254,9 +278,7 @@ class TestSymmetryBreak:
                 units = tuple(
                     (var if red else -var,) for var, red in enumerate(leader, 1)
                 )
-                fixed = CnfFormula(
-                    formula.num_vars, formula.clauses + units, formula.var_map
-                )
+                fixed = CnfFormula(formula.num_vars, formula.clauses + units)
                 assert solve(fixed).status is SolveStatus.SAT, (deleted, leader)
 
 
@@ -287,31 +309,46 @@ class TestDecode:
         assert len(coloring.assignment) == 5
 
 
+def dimacs(graph: DeletedEdgeGraph, s: int, t: int) -> str:
+    return export_dimacs(encode(graph, s, t), graph)
+
+
 class TestExportDimacs:
     def test_k3_exact_bytes(self):
-        assert export_dimacs(encode(DeletedEdgeGraph(3), 3, 3)) == K3_DIMACS
+        assert dimacs(DeletedEdgeGraph(3), 3, 3) == K3_DIMACS
 
     def test_k6_header(self):
-        text = export_dimacs(encode(DeletedEdgeGraph(6), 3, 3))
+        text = dimacs(DeletedEdgeGraph(6), 3, 3)
         assert "p cnf 15 40" in text.splitlines()
 
     def test_deleted_edge_header_and_comments(self):
-        text = export_dimacs(encode(DeletedEdgeGraph(6, ((0, 5),)), 3, 3))
+        text = dimacs(DeletedEdgeGraph(6, ((0, 5),)), 3, 3)
         lines = text.splitlines()
         assert "p cnf 14 32" in lines
         assert "c var 5 = edge (1,2)" in lines
         assert not any("(0,5)" in line for line in lines)
 
     def test_empty_clause_renders_bare_zero(self):
-        text = export_dimacs(encode(DeletedEdgeGraph(2), 1, 2))
+        text = dimacs(DeletedEdgeGraph(2), 1, 2)
         assert "\n0\n" in text
 
     def test_ends_with_newline_no_crlf(self):
-        text = export_dimacs(encode(DeletedEdgeGraph(5), 3, 3))
+        text = dimacs(DeletedEdgeGraph(5), 3, 3)
         assert text.endswith("\n")
         assert "\r" not in text
 
     def test_comments_precede_header(self):
-        lines = export_dimacs(encode(DeletedEdgeGraph(4), 3, 3)).splitlines()
+        lines = dimacs(DeletedEdgeGraph(4), 3, 3).splitlines()
         header = lines.index("p cnf 6 8")
         assert all(line.startswith("c var") for line in lines[:header])
+
+    def test_comments_name_only_the_graph_edges(self):
+        # helper variables of symmetry breaking get no comment line
+        graph = DeletedEdgeGraph(4)
+        formula = symmetry_break(graph, encode(graph, 3, 3))
+        assert formula.num_vars > 6
+        lines = export_dimacs(formula, graph).splitlines()
+        assert lines[5:7] == [
+            "c var 6 = edge (2,3)",
+            f"p cnf {formula.num_vars} {len(formula.clauses)}",
+        ]

@@ -72,6 +72,10 @@ class TestJsonRoundTrip:
         with pytest.raises(DocumentError, match="not valid JSON"):
             ColoringDocument.from_json_text("{nope")
 
+    def test_rejects_nesting_past_the_recursion_limit(self):
+        with pytest.raises(DocumentError, match="not valid JSON"):
+            ColoringDocument.from_json_text("[" * 100_000)
+
     def test_rejects_non_object(self):
         with pytest.raises(DocumentError, match="object"):
             ColoringDocument.from_json_text("[1, 2]")

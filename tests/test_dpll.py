@@ -20,51 +20,46 @@ from ramsat.cnf import symmetry_break
 from .oracle import brute_force_good_coloring
 
 
-def formula(num_vars: int, *clauses: tuple[int, ...]) -> CnfFormula:
-    edges = tuple((0, v + 1) for v in range(num_vars))  # placeholder var_map
-    return CnfFormula(num_vars, clauses, edges)
-
-
 class TestHandInstances:
     def test_empty_formula_is_sat(self):
-        result = solve(formula(0))
+        result = solve(CnfFormula(0, ()))
         assert result.status is SolveStatus.SAT
         assert result.model == {}
 
     def test_no_clauses_all_true(self):
         # unconstrained variables get the tried-first phase
-        result = solve(formula(3))
+        result = solve(CnfFormula(3, ()))
         assert result.model == {1: True, 2: True, 3: True}
 
     def test_empty_clause_is_unsat(self):
-        result = solve(formula(2, ()))
+        result = solve(CnfFormula(2, ((),)))
         assert result.status is SolveStatus.UNSAT
         assert result.model is None
 
     def test_conflicting_units(self):
-        assert solve(formula(1, (1,), (-1,))).status is SolveStatus.UNSAT
+        assert solve(CnfFormula(1, ((1,), (-1,)))).status is SolveStatus.UNSAT
 
     def test_unit_chain(self):
-        result = solve(formula(3, (1,), (-1, 2), (-2, 3)))
+        result = solve(CnfFormula(3, ((1,), (-1, 2), (-2, 3))))
         assert result.model == {1: True, 2: True, 3: True}
         assert result.decisions == 0
 
     def test_requires_branching_unsat(self):
-        result = solve(formula(2, (1, 2), (-1, 2), (1, -2), (-1, -2)))
+        result = solve(CnfFormula(2, ((1, 2), (-1, 2), (1, -2), (-1, -2))))
         assert result.status is SolveStatus.UNSAT
         assert result.decisions > 0
 
     def test_negative_unit_forces_false(self):
-        result = solve(formula(2, (-1,), (1, 2)))
+        result = solve(CnfFormula(2, ((-1,), (1, 2))))
         assert result.model == {1: False, 2: True}
 
     def test_lowest_variable_first_true_first(self):
         # (-1 or -2): branch on 1 as true, then 2 must flip to false
-        result = solve(formula(2, (-1, -2)))
+        result = solve(CnfFormula(2, ((-1, -2),)))
         assert result.model == {1: True, 2: False}
 
     def test_long_clause_watch_shuffling(self):
-        result = solve(formula(4, (1, 2, 3, 4), (-1,), (-2,), (-3,)))
+        result = solve(CnfFormula(4, ((1, 2, 3, 4), (-1,), (-2,), (-3,))))
         assert result.model == {1: False, 2: False, 3: False, 4: True}
 
     @pytest.mark.parametrize(
@@ -73,10 +68,10 @@ class TestHandInstances:
         ids=["empty-clause-after-units", "unit-contradicts-earlier-unit"],
     )
     def test_loading_pass_refutes_without_deciding(self, clauses):
-        assert solve(formula(3, *clauses)) == (SolveStatus.UNSAT, None, 0)
+        assert solve(CnfFormula(3, clauses)) == (SolveStatus.UNSAT, None, 0)
 
     def test_repeated_unit_is_sat(self):
-        result = solve(formula(2, (1,), (-1, 2), (1,)))
+        result = solve(CnfFormula(2, ((1,), (-1, 2), (1,))))
         assert result == (SolveStatus.SAT, {1: True, 2: True}, 0)
 
 
@@ -180,11 +175,11 @@ class TestBudget:
 
     def test_zero_budget_still_propagates(self):
         # decided entirely by unit propagation, no decisions needed
-        result = solve(formula(2, (1,), (-1, 2)), budget=0)
+        result = solve(CnfFormula(2, ((1,), (-1, 2))), budget=0)
         assert result.status is SolveStatus.SAT
 
     def test_zero_budget_blocks_first_decision(self):
-        result = solve(formula(1), budget=0)
+        result = solve(CnfFormula(1, ()), budget=0)
         assert result.status is SolveStatus.BUDGET_EXCEEDED
 
     def test_exact_budget_suffices(self):

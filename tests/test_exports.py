@@ -5,6 +5,7 @@ from __future__ import annotations
 import ramsat
 import ramsat.coloring
 import ramsat.graphs
+import ramsat.search
 
 
 def test_all_names_resolve_without_duplicates():
@@ -25,3 +26,12 @@ def test_subset_is_clique_stays_a_graphs_global():
     # the benchmark's layer tracer wraps it there and at each import site
     assert callable(ramsat.graphs.subset_is_clique)
     assert ramsat.coloring.subset_is_clique is ramsat.graphs.subset_is_clique
+
+
+def test_edge_facts_have_one_source():
+    # a formula's variables are its graph's present edges, and min_deletions
+    # returns the coloring whose graph holds the deleted edges
+    assert ramsat.CnfFormula._fields == ("num_vars", "clauses")
+    assert "DeletionResult" not in ramsat.__all__
+    assert not hasattr(ramsat, "DeletionResult")
+    assert not hasattr(ramsat.search, "DeletionResult")

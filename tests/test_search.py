@@ -209,16 +209,15 @@ class TestExtendColoring:
 
 class TestMinDeletions:
     def test_k5_needs_none(self):
-        result = min_deletions(3, 3, 5, 3)
-        assert result.e == 0
-        assert result.deleted == ()
+        coloring = min_deletions(3, 3, 5, 3)
+        assert coloring.graph == DeletedEdgeGraph(5)
 
     def test_k6_needs_exactly_one(self):
-        result = min_deletions(3, 3, 6, 3)
-        assert result.e == 1
-        assert result.deleted == ((0, 1),)  # first singleton in lex order
-        assert is_good(result.coloring, 3, 3).good
-        assert result.coloring.graph == DeletedEdgeGraph(6, ((0, 1),))
+        coloring = min_deletions(3, 3, 6, 3)
+        assert isinstance(coloring, EdgeColoring)
+        # the first singleton in lex order
+        assert coloring.graph == DeletedEdgeGraph(6, ((0, 1),))
+        assert is_good(coloring, 3, 3).good
 
     def test_exhausted(self):
         with pytest.raises(SearchExhaustedError, match="<= 0"):
@@ -226,7 +225,7 @@ class TestMinDeletions:
 
     def test_monotone_in_p(self):
         counts = [
-            min_deletions(3, 3, p, 1).e for p in range(2, 7)
+            len(min_deletions(3, 3, p, 1).graph.deleted) for p in range(2, 7)
         ]
         assert counts == sorted(counts)
         assert counts == [0, 0, 0, 0, 1]
@@ -237,6 +236,17 @@ class TestMinDeletions:
         with pytest.raises(ValueError):
             min_deletions(3, 3, 4, -1)
 
+    @pytest.mark.parametrize(
+        "s, t, p, message",
+        [
+            (3, 3, 2000, "over the limit of 1,000,000"),
+            (999, 999, 1000, "variables and literals"),
+        ],
+    )
+    def test_size_limit_checked_before_any_class(self, nothing_built, s, t, p, message):
+        with pytest.raises(ValueError, match=message):
+            min_deletions(s, t, p, 0)
+
     def test_small_p_rejected(self):
         with pytest.raises(ValueError):
             min_deletions(3, 3, 1, 0)
@@ -246,8 +256,9 @@ class TestMinDeletions:
     )
     def test_same_answer_as_lex_scan(self, s, t, p):
         expected = lex_scan_min_deletions(s, t, p)
-        result = min_deletions(s, t, p, p - 1)
-        assert (result.e, result.deleted, result.coloring.assignment) == expected
+        coloring = min_deletions(s, t, p, p - 1)
+        deleted = coloring.graph.deleted
+        assert (len(deleted), deleted, coloring.assignment) == expected
 
 
 def lex_scan_min_deletions(s, t, p):
