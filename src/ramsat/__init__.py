@@ -17,16 +17,9 @@ from .errors import (
     BudgetExceededError,
     DocumentError,
     RamsatError,
-    SearchExhaustedError,
     TheoremViolationError,
 )
-from .graphs import (
-    DeletedEdgeGraph,
-    Edge,
-    edge,
-    edge_count,
-    subset_is_clique,
-)
+from .graphs import DeletedEdgeGraph, Edge, edge, edge_count
 from .search import (
     DEFAULT_MAX_N,
     BadColoringError,
@@ -56,7 +49,6 @@ __all__ = [
     "EdgeColoring",
     "RamsatError",
     "RamseyResult",
-    "SearchExhaustedError",
     "SolveResult",
     "SolveStatus",
     "TheoremViolationError",
@@ -73,5 +65,4 @@ __all__ = [
     "min_deletions",
     "ramsey_number",
     "solve",
-    "subset_is_clique",
 ]

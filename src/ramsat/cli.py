@@ -24,7 +24,7 @@ from .cnf import export_dimacs
 from .coloring import EdgeColoring, Verdict, is_good
 from .document import ColoringDocument
 from .dpll import DEFAULT_DECISION_BUDGET, SolveStatus
-from .errors import BudgetExceededError, DocumentError, SearchExhaustedError
+from .errors import BudgetExceededError, DocumentError
 from .graphs import DeletedEdgeGraph, Edge, edge
 from .search import (
     DEFAULT_MAX_N,
@@ -88,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_number.add_argument(
         "--witness", metavar="PATH", help="write the good coloring of K_{p-1} as JSON"
     )
+    p_number.set_defaults(handler=cmd_number)
 
     p_solve = sub.add_parser(
         "solve", help="solve one instance: K_n minus deleted edges, sizes (s,t)"
@@ -110,11 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--dimacs", metavar="PATH", help="write the CNF encoding as DIMACS"
     )
+    p_solve.set_defaults(handler=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a coloring document for (s,t)")
     p_verify.add_argument("json_path")
     p_verify.add_argument("-s", type=_positive_int, required=True)
     p_verify.add_argument("-t", type=_positive_int, required=True)
+    p_verify.set_defaults(handler=cmd_verify)
 
     p_extend = sub.add_parser(
         "extend", help="extend a good coloring of K_{p-1} to K_p minus one edge"
@@ -124,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extend.add_argument("-s", type=_positive_int, required=True)
     p_extend.add_argument("-t", type=_positive_int, required=True)
     p_extend.add_argument("--out", metavar="PATH", required=True)
+    p_extend.set_defaults(handler=cmd_extend)
 
     p_min = sub.add_parser(
         "min-deletions", help="fewest deletions from K_p admitting a good coloring"
@@ -141,10 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument(
         "--json", metavar="PATH", help="write the coloring found as JSON"
     )
+    p_min.set_defaults(handler=cmd_min_deletions)
 
     p_dot = sub.add_parser("export-dot", help="render a coloring document as DOT")
     p_dot.add_argument("json_path")
     p_dot.add_argument("-o", "--out", metavar="PATH", required=True, dest="out")
+    p_dot.set_defaults(handler=cmd_export_dot)
 
     return parser
 
@@ -168,14 +174,13 @@ def _bad_line(verdict: Verdict) -> str:
 
 
 def cmd_number(args: argparse.Namespace) -> int:
-    try:
-        result = ramsey_number(args.s, args.t, args.max_n, budget=args.budget)
-    except SearchExhaustedError:
+    result = ramsey_number(args.s, args.t, args.max_n, budget=args.budget)
+    if result is None:
         print(f"r({args.s},{args.t}) > {args.max_n}")
         return EXIT_EXHAUSTED
-    print(f"r({args.s},{args.t}) = {result.p}")
     if args.witness and result.witness is not None:
         _write_coloring(args.witness, result.witness)
+    print(f"r({args.s},{args.t}) = {result.p}")
     return EXIT_OK
 
 
@@ -190,9 +195,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if decision.status is SolveStatus.UNSAT:
         print("UNSAT")
         return EXIT_NEGATIVE
-    print("SAT")
     if args.json:
         _write_coloring(args.json, decision.coloring)
+    print("SAT")
     return EXIT_OK
 
 
@@ -221,16 +226,15 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 def cmd_min_deletions(args: argparse.Namespace) -> int:
     k_max = args.p - 1 if args.max_k is None else args.max_k
-    try:
-        coloring = min_deletions(args.s, args.t, args.p, k_max, budget=args.budget)
-    except SearchExhaustedError:
+    coloring = min_deletions(args.s, args.t, args.p, k_max, budget=args.budget)
+    if coloring is None:
         print(f"e > {k_max}")
         return EXIT_EXHAUSTED
+    if args.json:
+        _write_coloring(args.json, coloring)
     deleted = coloring.graph.deleted
     print(f"e = {len(deleted)}")
     print(f"deleted: {' '.join(map(_format_edge, deleted)) or 'none'}")
-    if args.json:
-        _write_coloring(args.json, coloring)
     return EXIT_OK
 
 
@@ -240,21 +244,11 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "number": cmd_number,
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-    "extend": cmd_extend,
-    "min-deletions": cmd_min_deletions,
-    "export-dot": cmd_export_dot,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except BudgetExceededError as exc:
         print(f"BUDGET EXCEEDED: {exc}")
         return EXIT_BUDGET

@@ -13,19 +13,18 @@ formula is unsatisfiable on any graph with a vertex.
 
 from __future__ import annotations
 
-import math
 from itertools import chain, combinations
 from typing import Mapping, NamedTuple
 
 from .coloring import Color, EdgeColoring
-from .graphs import CheckedRecord, DeletedEdgeGraph, Edge, edge, subset_is_clique
-
-# Largest clause count encode will build.  The biggest instance the
-# classical questions need, K_14 at (3,5), has 2,366 clauses.
-MAX_CLAUSES = 1_000_000
-# Largest count of variables plus literals encode will build.  K_23 at
-# (3,7), the instance that r(3,7) = 23 turns on, needs 253 + 5,153,610.
-MAX_SIZE = 10_000_000
+from .graphs import (
+    CheckedRecord,
+    DeletedEdgeGraph,
+    Edge,
+    check_size,
+    edge,
+    subset_is_clique,
+)
 
 
 class _FormulaFields(NamedTuple):
@@ -55,38 +54,18 @@ class CnfFormula(CheckedRecord, _FormulaFields):
         return super().__new__(cls, num_vars, clauses)
 
 
-def check_size(p: int, s: int, t: int) -> None:
-    """Raise ValueError unless encode may build K_p at (s,t).
-
-    Both bounds ignore deletions: at most C(p,s) + C(p,t) clauses, and at
-    most C(p,2) variables plus C(p,s)·C(s,2) + C(p,t)·C(t,2) literals.
-    """
-    if p < 1:
-        raise ValueError("graph must have at least one vertex")
-    if s < 1 or t < 1:
-        raise ValueError("clique sizes must be at least 1")
-    bound = math.comb(p, s) + math.comb(p, t)
-    if bound > MAX_CLAUSES:
-        raise ValueError(
-            f"K_{p} at ({s},{t}) needs up to {bound:,} clauses, "
-            f"over the limit of {MAX_CLAUSES:,}"
-        )
-    size = math.comb(p, 2) + sum(math.comb(p, k) * math.comb(k, 2) for k in (s, t))
-    if size > MAX_SIZE:
-        raise ValueError(
-            f"K_{p} at ({s},{t}) needs up to {size:,} variables and literals, "
-            f"over the limit of {MAX_SIZE:,}"
-        )
-
-
 def encode(graph: DeletedEdgeGraph, s: int, t: int) -> CnfFormula:
     """Build the clause set whose models are the good colorings of graph.
 
     Clause order is fixed: all red-blocking clauses in subset order, then
     all blue-blocking clauses in subset order.  Identical inputs give
-    identical formulas.  An instance that `check_size` refuses raises
-    ValueError before any clause is built.
+    identical formulas.  An empty graph, a size below 1, and an instance
+    that `check_size` refuses raise ValueError before any clause is built.
     """
+    if graph.p < 1:
+        raise ValueError("graph must have at least one vertex")
+    if s < 1 or t < 1:
+        raise ValueError("clique sizes must be at least 1")
     check_size(graph.p, s, t)
     present = graph.present_edges()
     not_red = {e: -v for v, e in enumerate(present, start=1)}

@@ -15,7 +15,7 @@ import enum
 from itertools import combinations
 from typing import Mapping, NamedTuple, Optional
 
-from .graphs import CheckedRecord, DeletedEdgeGraph, Edge, subset_is_clique
+from .graphs import CheckedRecord, DeletedEdgeGraph, Edge, check_size, subset_is_clique
 
 
 class Color(enum.Enum):
@@ -65,9 +65,10 @@ def is_good(coloring: EdgeColoring, s: int, t: int) -> Verdict:
     first color that has one, so red witnesses take priority.  A single
     vertex is a clique of either color, so a size of 1 is bad on any
     non-empty graph.  A size below 1 raises ValueError once its color is
-    reached.
+    reached; a walk that `check_size` refuses raises it before any subset.
     """
     graph = coloring.graph
+    check_size(graph.p, s, t)
     deleted = graph.deleted  # with none, every subset is a clique
     assignment = coloring.assignment
     for color, k in ((Color.RED, s), (Color.BLUE, t)):

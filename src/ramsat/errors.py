@@ -13,10 +13,6 @@ class BudgetExceededError(RamsatError):
     """
 
 
-class SearchExhaustedError(RamsatError):
-    """A bounded search ran out of candidates without finding an answer."""
-
-
 class TheoremViolationError(RamsatError):
     """A constructed coloring failed its re-verification.
 

@@ -14,6 +14,15 @@ from typing import Iterable, NamedTuple
 
 Edge = tuple[int, int]
 
+# Largest count of vertex subsets a walk over K_p may visit: each is a
+# clause of `encode` and a clique test of `is_good`.  The biggest instance
+# the classical questions need, K_14 at (3,5), has 2,366.
+MAX_CLAUSES = 1_000_000
+# Largest count of edges plus edge reads of the subsets: the variables
+# and literals of `encode`.  K_23 at (3,7), the instance that r(3,7) = 23
+# turns on, needs 253 + 5,153,610.
+MAX_SIZE = 10_000_000
+
 
 def edge(u: int, v: int) -> Edge:
     """Canonical form of the edge between two distinct vertices."""
@@ -92,6 +101,28 @@ def _is_lex_least(target: tuple[Edge, ...]) -> bool:
         )
 
     return not beaten([], 0, 0)
+
+
+def check_size(p: int, s: int, t: int) -> None:
+    """Raise ValueError if walking the s- and t-subsets of K_p is too big.
+
+    Both bounds ignore deletions: at most C(p,s) + C(p,t) subsets, and at
+    most C(p,2) edges plus C(p,s)·C(s,2) + C(p,t)·C(t,2) edge reads.  A
+    size below 1 counts nothing here; each walker rejects it itself.
+    """
+    sizes = [k for k in (s, t) if k > 0]
+    bound = sum(math.comb(p, k) for k in sizes)
+    if bound > MAX_CLAUSES:
+        raise ValueError(
+            f"K_{p} at ({s},{t}) needs up to {bound:,} clauses, "
+            f"over the limit of {MAX_CLAUSES:,}"
+        )
+    size = math.comb(p, 2) + sum(math.comb(p, k) * math.comb(k, 2) for k in sizes)
+    if size > MAX_SIZE:
+        raise ValueError(
+            f"K_{p} at ({s},{t}) needs up to {size:,} variables and literals, "
+            f"over the limit of {MAX_SIZE:,}"
+        )
 
 
 class CheckedRecord:

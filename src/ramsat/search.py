@@ -9,11 +9,18 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .cnf import CnfFormula, check_size, decode, encode, symmetry_break
+from .cnf import CnfFormula, decode, encode, symmetry_break
 from .coloring import EdgeColoring, Verdict, is_good
 from .dpll import DEFAULT_DECISION_BUDGET, SolveStatus, solve
-from .errors import BudgetExceededError, SearchExhaustedError, TheoremViolationError
-from .graphs import DeletedEdgeGraph, Edge, deletion_classes, edge, edge_count
+from .errors import BudgetExceededError, TheoremViolationError
+from .graphs import (
+    DeletedEdgeGraph,
+    Edge,
+    check_size,
+    deletion_classes,
+    edge,
+    edge_count,
+)
 
 DEFAULT_MAX_N = 14
 
@@ -101,15 +108,15 @@ def ramsey_number(
     n_max: int = DEFAULT_MAX_N,
     *,
     budget: int = DEFAULT_DECISION_BUDGET,
-) -> RamseyResult:
+) -> Optional[RamseyResult]:
     """Walk n = 1, 2, ..., n_max until K_n has no good coloring.
 
     The witness is the good coloring found at p - 1.  It is None when
     p = 1: then s or t is 1, a single vertex is already a monochromatic
     K_1, and K_0 has no edges to color.
-    Raises SearchExhaustedError if every n up to n_max still has a good
-    coloring, and lets the solver's BudgetExceededError (which names n)
-    propagate.
+    Returns None if every n up to n_max still has a good coloring, that
+    is r(s,t) > n_max, and lets the solver's BudgetExceededError (which
+    names n) propagate.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -119,9 +126,7 @@ def ramsey_number(
         if coloring is None:
             return RamseyResult(n, witness)
         witness = coloring
-    raise SearchExhaustedError(
-        f"r({s},{t}) > {n_max}: every K_n up to {n_max} has a good coloring"
-    )
+    return None
 
 
 def extend_coloring(
@@ -143,6 +148,7 @@ def extend_coloring(
     old_p = graph.p
     if not 0 <= vertex < old_p:
         raise ValueError(f"vertex {vertex} is not a vertex of K_{old_p}")
+    check_size(old_p + 1, s, t)  # the larger walk, before either one starts
     verdict = is_good(coloring, s, t)
     if not verdict.good:
         raise BadColoringError(verdict)
@@ -171,7 +177,7 @@ def min_deletions(
     k_max: int,
     *,
     budget: int = DEFAULT_DECISION_BUDGET,
-) -> EdgeColoring:
+) -> Optional[EdgeColoring]:
     """A good coloring of K_p minus the fewest deletions, up to k_max.
 
     The deleted edges are the coloring's `graph.deleted`, their number the
@@ -186,8 +192,9 @@ def min_deletions(
     it lies in a class whose representative comes earlier still, and that
     representative was not colorable.  It is solved as the same formula a
     scan of all C(m,k) sets would solve, so the coloring is the same too.
-    Raises SearchExhaustedError when k_max deletions are still not enough,
-    and ValueError, before any class is built, when `check_size` refuses K_p.
+    Returns None when k_max deletions are still not enough, that is
+    e > k_max, and raises ValueError, before any class is built, when
+    `check_size` refuses K_p.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -200,6 +207,4 @@ def min_deletions(
             coloring = good_coloring(p, s, t, deleted, budget=budget)
             if coloring is not None:
                 return coloring
-    raise SearchExhaustedError(
-        f"no deletion set of size <= {k_max} admits a good coloring of K_{p}"
-    )
+    return None

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import ramsat.coloring
 import ramsat.search
 from ramsat import Color, DeletedEdgeGraph, EdgeColoring
 
@@ -53,3 +54,15 @@ def nothing_built(monkeypatch):
 
     monkeypatch.setattr(DeletedEdgeGraph, "present_edges", built)
     monkeypatch.setattr(ramsat.search, "deletion_classes", built)
+
+
+@pytest.fixture
+def nothing_walked(monkeypatch):
+    """Make the verifier's subset walk fail: is_good's `combinations`
+    raises AssertionError, so a size-guard test never starts the walk it
+    refuses."""
+
+    def walked(*args):
+        raise AssertionError("a subset walk started past the size guard")
+
+    monkeypatch.setattr(ramsat.coloring, "combinations", walked)

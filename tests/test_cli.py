@@ -31,6 +31,13 @@ def write_red_k3(tmp_path):
     return path
 
 
+def write_blue_k30(tmp_path):
+    path = tmp_path / "k30.json"
+    doc = ColoringDocument.from_coloring(make_coloring(30, set()))
+    path.write_text(doc.to_json_text(), encoding="utf-8")
+    return path
+
+
 def test_python_dash_m_ramsat_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
@@ -72,6 +79,13 @@ class TestNumber:
     def test_max_n_exhausted(self, capsys):
         assert main(["number", "-s", "3", "-t", "3", "--max-n", "5"]) == 3
         assert capsys.readouterr().out == "r(3,3) > 5\n"
+
+    def test_failed_witness_write_prints_nothing(self, tmp_path, capsys):
+        witness = tmp_path / "missing" / "witness.json"
+        assert main(["number", "-s", "3", "-t", "3", "--witness", str(witness)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_budget_exceeded(self, capsys):
         # budget 1 survives K_2 (one branch) but not K_3
@@ -132,6 +146,15 @@ class TestSolve:
         assert captured.out == ""
         assert "over the limit" in captured.err
         assert not dimacs_path.exists()
+
+    def test_failed_json_write_prints_nothing(self, tmp_path, capsys):
+        json_path = tmp_path / "missing" / "x.json"
+        assert main(
+            ["solve", "-n", "5", "-s", "3", "-t", "3", "--json", str(json_path)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_delete_accepts_reversed_endpoints(self, capsys):
         assert main(["solve", "-n", "6", "-s", "3", "-t", "3", "--delete", "5-0"]) == 0
@@ -220,6 +243,15 @@ class TestVerify:
         assert captured.err.startswith("error: not valid JSON: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("s, t", [("15", "15"), ("16", "3")])
+    def test_oversized_walk_refused(self, tmp_path, nothing_walked, capsys, s, t):
+        # K_30 all blue: the red walk alone would visit C(30,15) subsets
+        path = write_blue_k30(tmp_path)
+        assert main(["verify", str(path), "-s", s, "-t", t]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "over the limit of 1,000,000" in captured.err
+
 
 class TestExtend:
     def test_extends_c5(self, tmp_path, capsys):
@@ -279,6 +311,19 @@ class TestExtend:
         )
         assert code == 2
 
+    def test_oversized_walk_refused(self, tmp_path, nothing_walked, capsys):
+        path = write_blue_k30(tmp_path)
+        out_path = tmp_path / "k31.json"
+        code = main(
+            ["extend", str(path), "--vertex", "0", "-s", "15", "-t", "15",
+             "--out", str(out_path)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "K_31 at (15,15)" in captured.err
+        assert not out_path.exists()
+
 
 class TestMinDeletions:
     def test_k6(self, capsys):
@@ -305,6 +350,15 @@ class TestMinDeletions:
         doc = ColoringDocument.from_json_text(out.read_text(encoding="utf-8"))
         assert doc.deleted_edges == ((0, 1),)
         assert is_good(doc.to_coloring(), 3, 3).good
+
+    def test_failed_json_write_prints_nothing(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "coloring.json"
+        assert main(
+            ["min-deletions", "-s", "3", "-t", "3", "-p", "6", "--json", str(out)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_exhausted(self, capsys):
         assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "7", "--max-k", "0"]) == 3

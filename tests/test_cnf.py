@@ -6,7 +6,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-import ramsat.cnf
+import ramsat.graphs
 from ramsat import (
     CnfFormula,
     Color,
@@ -132,10 +132,10 @@ class TestEncode:
 
     def test_clause_limit_checked_before_building(self, monkeypatch):
         # K_6 at (3,3) can need C(6,3) + C(6,3) = 40 clauses
-        monkeypatch.setattr(ramsat.cnf, "MAX_CLAUSES", 40)
+        monkeypatch.setattr(ramsat.graphs, "MAX_CLAUSES", 40)
         assert len(encode(DeletedEdgeGraph(6), 3, 3).clauses) == 40
         # the bound ignores deletions: this graph has only 32 clique triples
-        monkeypatch.setattr(ramsat.cnf, "MAX_CLAUSES", 39)
+        monkeypatch.setattr(ramsat.graphs, "MAX_CLAUSES", 39)
         with pytest.raises(ValueError, match="over the limit of 39"):
             encode(DeletedEdgeGraph(6, ((0, 1),)), 3, 3)
 
@@ -158,9 +158,9 @@ class TestEncode:
 
     def test_size_limit_is_exact(self, monkeypatch):
         # K_6 at (3,3): 15 variables and 40 clauses of 3 literals
-        monkeypatch.setattr(ramsat.cnf, "MAX_SIZE", 135)
+        monkeypatch.setattr(ramsat.graphs, "MAX_SIZE", 135)
         assert encode(DeletedEdgeGraph(6), 3, 3).num_vars == 15
-        monkeypatch.setattr(ramsat.cnf, "MAX_SIZE", 134)
+        monkeypatch.setattr(ramsat.graphs, "MAX_SIZE", 134)
         with pytest.raises(ValueError, match="135 variables and literals"):
             encode(DeletedEdgeGraph(6), 3, 3)
 

@@ -20,6 +20,7 @@ from ramsat import (
     is_good,
 )
 import ramsat.coloring
+import ramsat.graphs
 from .conftest import C5_RED, make_coloring
 from .oracle import brute_force_good_coloring
 
@@ -139,6 +140,20 @@ class TestIsGood:
         coloring = make_coloring(6, red, deleted=((0, 5),))
         assert naive_is_good(coloring, 3, 3)
         assert is_good(coloring, 3, 3).good
+
+    def test_walk_limit_is_exact(self, c5_coloring, monkeypatch):
+        # K_5 at (3,3) walks C(5,3) + C(5,3) = 20 subsets, the encoder's count
+        monkeypatch.setattr(ramsat.graphs, "MAX_CLAUSES", 20)
+        assert is_good(c5_coloring, 3, 3).good
+        monkeypatch.setattr(ramsat.graphs, "MAX_CLAUSES", 19)
+        with pytest.raises(ValueError, match="over the limit of 19"):
+            is_good(c5_coloring, 3, 3)
+
+    @pytest.mark.parametrize("s, t", [(15, 15), (16, 3)])
+    def test_oversized_walk_refused(self, nothing_walked, s, t):
+        # K_30 all blue: the red walk alone would visit C(30,15) subsets
+        with pytest.raises(ValueError, match="over the limit"):
+            is_good(make_coloring(30, set()), s, t)
 
     def test_degenerate_sizes_rejected(self, c5_coloring):
         for s, t in ((0, 3), (3, 0)):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ramsat
 import ramsat.coloring
+import ramsat.errors
 import ramsat.graphs
 import ramsat.search
 
@@ -23,9 +24,20 @@ def test_test_scaffolding_is_not_exported():
 
 
 def test_subset_is_clique_stays_a_graphs_global():
-    # the benchmark's layer tracer wraps it there and at each import site
+    # the benchmark's layer tracer wraps it there and at each import site;
+    # only the package's own modules and tests call it
     assert callable(ramsat.graphs.subset_is_clique)
     assert ramsat.coloring.subset_is_clique is ramsat.graphs.subset_is_clique
+    assert "subset_is_clique" not in ramsat.__all__
+    assert not hasattr(ramsat, "subset_is_clique")
+
+
+def test_a_search_past_its_cap_is_an_answer_not_an_error():
+    # ramsey_number and min_deletions return None past the cap; only
+    # BudgetExceededError means "no answer"
+    assert "SearchExhaustedError" not in ramsat.__all__
+    assert not hasattr(ramsat, "SearchExhaustedError")
+    assert not hasattr(ramsat.errors, "SearchExhaustedError")
 
 
 def test_edge_facts_have_one_source():

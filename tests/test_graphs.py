@@ -6,8 +6,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from ramsat import DeletedEdgeGraph, edge, edge_count, subset_is_clique
-from ramsat.graphs import deletion_classes
+from ramsat import DeletedEdgeGraph, edge, edge_count
+from ramsat.graphs import deletion_classes, subset_is_clique
 
 
 class TestEdge:

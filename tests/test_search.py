@@ -7,13 +7,13 @@ from itertools import combinations, product
 
 import pytest
 
+import ramsat.graphs
 from ramsat import (
     BadColoringError,
     BudgetExceededError,
     Color,
     DeletedEdgeGraph,
     EdgeColoring,
-    SearchExhaustedError,
     SolveStatus,
     decide,
     encode,
@@ -134,8 +134,8 @@ class TestRamseyNumber:
         assert good_coloring(8, 3, 4) is not None
 
     def test_exhausted_search(self):
-        with pytest.raises(SearchExhaustedError, match="> 4"):
-            ramsey_number(3, 3, 4)
+        # every K_n up to the cap has a good coloring: r(3,3) > 4
+        assert ramsey_number(3, 3, 4) is None
 
     def test_budget_propagates_with_n(self):
         # K_1 solves with zero decisions; K_2 needs its first branch
@@ -177,6 +177,14 @@ class TestExtendColoring:
         with pytest.raises(BadColoringError, match="not good") as excinfo:
             extend_coloring(make_coloring(3, set()), 0, 3, 3)
         assert excinfo.value.verdict.witness == (Color.BLUE, (0, 1, 2))
+
+    def test_checks_the_larger_walk_first(
+        self, c5_coloring, nothing_walked, monkeypatch
+    ):
+        # K_5 at (3,3) walks 20 subsets and K_6 walks 40: refused before either
+        monkeypatch.setattr(ramsat.graphs, "MAX_CLAUSES", 39)
+        with pytest.raises(ValueError, match=r"K_6 at \(3,3\) needs up to 40 clauses"):
+            extend_coloring(c5_coloring, 0, 3, 3)
 
     def test_rejects_missing_vertex(self, c5_coloring):
         with pytest.raises(ValueError, match="vertex 5"):
@@ -220,8 +228,8 @@ class TestMinDeletions:
         assert is_good(coloring, 3, 3).good
 
     def test_exhausted(self):
-        with pytest.raises(SearchExhaustedError, match="<= 0"):
-            min_deletions(3, 3, 7, 0)
+        # K_7 itself has no good coloring: e > 0
+        assert min_deletions(3, 3, 7, 0) is None
 
     def test_monotone_in_p(self):
         counts = [
