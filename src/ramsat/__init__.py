@@ -22,7 +22,6 @@ from .errors import (
 from .graphs import DeletedEdgeGraph, Edge, edge, edge_count
 from .search import (
     DEFAULT_MAX_N,
-    BadColoringError,
     Decision,
     RamseyResult,
     decide,
@@ -35,7 +34,6 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadColoringError",
     "BudgetExceededError",
     "CnfFormula",
     "Color",

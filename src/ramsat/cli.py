@@ -28,7 +28,6 @@ from .errors import BudgetExceededError, DocumentError
 from .graphs import DeletedEdgeGraph, Edge, edge
 from .search import (
     DEFAULT_MAX_N,
-    BadColoringError,
     decide,
     extend_coloring,
     min_deletions,
@@ -213,14 +212,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_extend(args: argparse.Namespace) -> int:
     coloring = _load_document(args.json_path).to_coloring()
-    try:
-        extended = extend_coloring(coloring, args.vertex, args.s, args.t)
-    except BadColoringError as exc:
-        print(_bad_line(exc.verdict))
+    extended = extend_coloring(coloring, args.vertex)
+    # one walk of the extension decides the input too (see extend_coloring)
+    verdict = is_good(extended, args.s, args.t)
+    if not verdict.good:
+        print(_bad_line(verdict))
         return EXIT_NEGATIVE
-    deleted = extended.graph.deleted[0]
     _write_coloring(args.out, extended)
-    print(f"deleted edge {_format_edge(deleted)}")
+    print(f"deleted edge {_format_edge(extended.graph.deleted[0])}")
     return EXIT_OK
 
 

@@ -14,10 +14,10 @@ class BudgetExceededError(RamsatError):
 
 
 class TheoremViolationError(RamsatError):
-    """A constructed coloring failed its re-verification.
+    """A solver model decoded to a coloring that fails re-verification.
 
-    The vertex-duplication construction is provably good, so this can only
-    mean an implementation bug; it is raised loudly instead of returning a
+    Every model of the encoding is a good coloring, so this can only mean
+    an implementation bug; it is raised loudly instead of returning a
     silently wrong coloring.
     """
 

@@ -114,13 +114,13 @@ def check_size(p: int, s: int, t: int) -> None:
     bound = sum(math.comb(p, k) for k in sizes)
     if bound > MAX_CLAUSES:
         raise ValueError(
-            f"K_{p} at ({s},{t}) needs up to {bound:,} clauses, "
+            f"K_{p} at ({s},{t}) needs up to {bound:,} subsets, "
             f"over the limit of {MAX_CLAUSES:,}"
         )
     size = math.comb(p, 2) + sum(math.comb(p, k) * math.comb(k, 2) for k in sizes)
     if size > MAX_SIZE:
         raise ValueError(
-            f"K_{p} at ({s},{t}) needs up to {size:,} variables and literals, "
+            f"K_{p} at ({s},{t}) needs up to {size:,} edges and edge reads, "
             f"over the limit of {MAX_SIZE:,}"
         )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .cnf import CnfFormula, decode, encode, symmetry_break
-from .coloring import EdgeColoring, Verdict, is_good
+from .coloring import EdgeColoring, is_good
 from .dpll import DEFAULT_DECISION_BUDGET, SolveStatus, solve
 from .errors import BudgetExceededError, TheoremViolationError
 from .graphs import (
@@ -40,15 +40,6 @@ class Decision(NamedTuple):
     status: SolveStatus
     formula: CnfFormula
     coloring: Optional[EdgeColoring]
-
-
-class BadColoringError(ValueError):
-    """An input coloring is not good; `verdict` carries the witness clique."""
-
-    def __init__(self, verdict: Verdict) -> None:
-        color, clique = verdict.witness
-        super().__init__(f"input coloring is not good: {color.value} clique on {clique}")
-        self.verdict = verdict
 
 
 def decide(
@@ -129,18 +120,17 @@ def ramsey_number(
     return None
 
 
-def extend_coloring(
-    coloring: EdgeColoring, vertex: int, s: int, t: int
-) -> EdgeColoring:
-    """Grow a good coloring of K_{p-1} to one of K_p minus one edge.
+def extend_coloring(coloring: EdgeColoring, vertex: int) -> EdgeColoring:
+    """Grow a coloring of K_{p-1} to one of K_p minus one edge.
 
     The new vertex p-1 is a twin of `vertex`: every edge (q, p-1) copies
     the color of (q, vertex), and the edge (vertex, p-1) between the twins
-    is the deleted one.  No clique of the result contains both twins, so
-    any monochromatic clique would map back into the input coloring; the
-    output is therefore good whenever the input is, and is re-verified
-    anyway.  A bad input raises BadColoringError; a failed re-verification
-    is an internal contradiction and raises TheoremViolationError.
+    is the deleted one.  The input is the coloring that the result induces
+    on 0..p-2, so one `is_good` walk of the result decides both, with the
+    same witness.  No clique of the result contains both twins, so a
+    clique through p-1 maps onto the lex-smaller clique through `vertex`
+    in the same color: the lex-first monochromatic clique lies in 0..p-2
+    and is the input's, and red still comes before blue.
     """
     graph = coloring.graph
     if graph.deleted:
@@ -148,26 +138,15 @@ def extend_coloring(
     old_p = graph.p
     if not 0 <= vertex < old_p:
         raise ValueError(f"vertex {vertex} is not a vertex of K_{old_p}")
-    check_size(old_p + 1, s, t)  # the larger walk, before either one starts
-    verdict = is_good(coloring, s, t)
-    if not verdict.good:
-        raise BadColoringError(verdict)
     parent = [*range(old_p), vertex]  # new vertex i copies parent[i]
     extended_graph = DeletedEdgeGraph(old_p + 1, ((vertex, old_p),))
-    extended = EdgeColoring(
+    return EdgeColoring(
         extended_graph,
         {
             (u, v): coloring.assignment[edge(parent[u], parent[v])]
             for u, v in extended_graph.present_edges()
         },
     )
-    check = is_good(extended, s, t)
-    if not check.good:
-        raise TheoremViolationError(
-            f"twin extension of vertex {vertex} produced a bad coloring: "
-            f"{check.witness}"
-        )
-    return extended
 
 
 def min_deletions(

@@ -2,12 +2,14 @@
 
 `brute_force_good_coloring` enumerates raw colorings and shares no code
 with the CNF encoding or the solver, so the tests compare both against it.
+`KNOWN_RAMSEY` holds Ramsey numbers from the literature, so tests can
+derive expected answers without the solver.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
 from ramsat.coloring import Color, EdgeColoring
 from ramsat.errors import BudgetExceededError
@@ -15,6 +17,24 @@ from ramsat.graphs import DeletedEdgeGraph, subset_is_clique
 
 # Largest edge count brute_force_good_coloring will enumerate (2^24 words).
 ENUMERATION_LIMIT = 24
+
+# r(s,t): Greenwood & Gleason (1955) for (3,3), (3,4) and (3,5); r(2,t) = t,
+# since a coloring with no red edge is all blue
+KNOWN_RAMSEY = {
+    (2, 3): 3, (3, 2): 3, (2, 4): 4, (2, 5): 5, (3, 3): 6, (3, 4): 9, (3, 5): 14,
+}
+
+
+def every_coloring(p: int) -> Iterator[EdgeColoring]:
+    """All 2^C(p,2) red/blue colorings of K_p: bit i of the word colors the
+    i-th edge red."""
+    graph = DeletedEdgeGraph(p)
+    present = graph.present_edges()
+    for word in range(1 << len(present)):
+        yield EdgeColoring(
+            graph,
+            {e: Color.RED if word >> i & 1 else Color.BLUE for i, e in enumerate(present)},
+        )
 
 
 def brute_force_good_coloring(

@@ -28,7 +28,7 @@ from ramsat import (
     ramsey_number,
     solve,
 )
-from .oracle import brute_force_good_coloring
+from .oracle import brute_force_good_coloring, every_coloring
 
 CLI = [sys.executable, "-m", "ramsat.cli"]
 
@@ -94,23 +94,11 @@ def test_criterion_2_single_deletion_suffices_at_6():
 
 def test_criterion_3_extension_works_from_every_good_k5_coloring():
     start = time.perf_counter()
-    graph = DeletedEdgeGraph(5)
-    present = graph.present_edges()
-    good_colorings = []
-    for word in range(1 << 10):
-        coloring = EdgeColoring(
-            graph,
-            {
-                e: Color.RED if word >> i & 1 else Color.BLUE
-                for i, e in enumerate(present)
-            },
-        )
-        if naive_good(coloring, 3, 3):
-            good_colorings.append(coloring)
+    good_colorings = [c for c in every_coloring(5) if naive_good(c, 3, 3)]
     failures = 0
     for coloring in good_colorings:
         for vertex in range(5):
-            extended = extend_coloring(coloring, vertex, 3, 3)
+            extended = extend_coloring(coloring, vertex)
             if not is_good(extended, 3, 3).good or not naive_good(extended, 3, 3):
                 failures += 1
     elapsed = time.perf_counter() - start

@@ -147,7 +147,7 @@ class TestEncode:
         self, nothing_built, n, s, t, size
     ):
         # two clauses each, but C(n,2) variables and clauses of C(s,2) literals
-        message = f"needs up to {size} variables and literals"
+        message = f"needs up to {size} edges and edge reads"
         with pytest.raises(ValueError, match=message):
             encode(DeletedEdgeGraph(n), s, t)
 
@@ -161,7 +161,7 @@ class TestEncode:
         monkeypatch.setattr(ramsat.graphs, "MAX_SIZE", 135)
         assert encode(DeletedEdgeGraph(6), 3, 3).num_vars == 15
         monkeypatch.setattr(ramsat.graphs, "MAX_SIZE", 134)
-        with pytest.raises(ValueError, match="135 variables and literals"):
+        with pytest.raises(ValueError, match="135 edges and edge reads"):
             encode(DeletedEdgeGraph(6), 3, 3)
 
     def test_soundness_exhaustive_k4(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, product
 
@@ -9,7 +10,6 @@ import pytest
 
 import ramsat.graphs
 from ramsat import (
-    BadColoringError,
     BudgetExceededError,
     Color,
     DeletedEdgeGraph,
@@ -24,7 +24,7 @@ from ramsat import (
     ramsey_number,
 )
 from .conftest import make_coloring
-from .oracle import brute_force_good_coloring
+from .oracle import KNOWN_RAMSEY, brute_force_good_coloring, every_coloring
 
 
 class TestDecide:
@@ -150,7 +150,7 @@ class TestRamseyNumber:
 class TestExtendColoring:
     def test_k2_red_example(self):
         base = make_coloring(2, {(0, 1)})
-        extended = extend_coloring(base, 0, 3, 3)
+        extended = extend_coloring(base, 0)
         assert extended.graph.p == 3
         assert extended.graph.deleted == ((0, 2),)
         assert extended.assignment[(1, 2)] is Color.RED  # copies (0,1)
@@ -158,7 +158,7 @@ class TestExtendColoring:
 
     def test_c5_every_vertex(self, c5_coloring):
         for vertex in range(5):
-            extended = extend_coloring(c5_coloring, vertex, 3, 3)
+            extended = extend_coloring(c5_coloring, vertex)
             assert extended.graph.p == 6
             assert extended.graph.deleted == ((vertex, 5),)
             assert is_good(extended, 3, 3).good
@@ -171,24 +171,43 @@ class TestExtendColoring:
     def test_rejects_deleted_edge_input(self):
         base = make_coloring(3, set(), deleted=((0, 2),))
         with pytest.raises(ValueError, match="complete"):
-            extend_coloring(base, 0, 3, 3)
+            extend_coloring(base, 0)
 
-    def test_rejects_bad_input(self):
-        with pytest.raises(BadColoringError, match="not good") as excinfo:
-            extend_coloring(make_coloring(3, set()), 0, 3, 3)
-        assert excinfo.value.verdict.witness == (Color.BLUE, (0, 1, 2))
+    def test_bad_input_keeps_its_witness(self):
+        extended = extend_coloring(make_coloring(3, set()), 0)
+        assert is_good(extended, 3, 3) == (False, (Color.BLUE, (0, 1, 2)))
 
-    def test_checks_the_larger_walk_first(
+    def test_one_walk_decides_input_and_extension(self):
+        # the input is what the extension induces on 0..p-2, so the twin
+        # theorem holds both ways, with the same lex-first witness
+        cases = [
+            (coloring, s, t)
+            for p in range(1, 5)
+            for coloring in every_coloring(p)
+            for s, t in product(range(1, 5), repeat=2)
+        ]
+        cases += [
+            (coloring, s, t)
+            for coloring in every_coloring(5)
+            for s, t in ((3, 3), (2, 3), (3, 2))
+        ]
+        for coloring, s, t in cases:
+            expected = is_good(coloring, s, t)
+            for vertex in range(coloring.graph.p):
+                extended = extend_coloring(coloring, vertex)
+                assert is_good(extended, s, t) == expected, (coloring, vertex, s, t)
+
+    def test_walk_of_the_extension_is_size_checked(
         self, c5_coloring, nothing_walked, monkeypatch
     ):
-        # K_5 at (3,3) walks 20 subsets and K_6 walks 40: refused before either
+        # K_6 at (3,3) walks 40 subsets: refused before the walk starts
         monkeypatch.setattr(ramsat.graphs, "MAX_CLAUSES", 39)
-        with pytest.raises(ValueError, match=r"K_6 at \(3,3\) needs up to 40 clauses"):
-            extend_coloring(c5_coloring, 0, 3, 3)
+        with pytest.raises(ValueError, match=r"K_6 at \(3,3\) needs up to 40 subsets"):
+            is_good(extend_coloring(c5_coloring, 0), 3, 3)
 
     def test_rejects_missing_vertex(self, c5_coloring):
         with pytest.raises(ValueError, match="vertex 5"):
-            extend_coloring(c5_coloring, 5, 3, 3)
+            extend_coloring(c5_coloring, 5)
 
     def test_random_relabelings_stay_good(self):
         # 100 sampled (coloring, vertex) pairs across several sizes
@@ -211,7 +230,7 @@ class TestExtendColoring:
                 },
             )
             vertex = rng.randrange(p)
-            extended = extend_coloring(permuted, vertex, s, t)
+            extended = extend_coloring(permuted, vertex)
             assert is_good(extended, s, t).good
 
 
@@ -248,7 +267,7 @@ class TestMinDeletions:
         "s, t, p, message",
         [
             (3, 3, 2000, "over the limit of 1,000,000"),
-            (999, 999, 1000, "variables and literals"),
+            (999, 999, 1000, "edges and edge reads"),
         ],
     )
     def test_size_limit_checked_before_any_class(self, nothing_built, s, t, p, message):
@@ -267,6 +286,31 @@ class TestMinDeletions:
         coloring = min_deletions(s, t, p, p - 1)
         deleted = coloring.graph.deleted
         assert (len(deleted), deleted, coloring.assignment) == expected
+
+    @pytest.mark.parametrize(
+        "s, t, p",
+        [(3, 3, p) for p in range(2, 11)]
+        + [(3, 4, p) for p in range(2, 12)]
+        + [(2, 4, p) for p in range(2, 9)]
+        + [(2, 5, p) for p in range(2, 9)]
+        + [(3, 5, 13), (3, 5, 14)],
+    )
+    def test_turan_closed_form(self, s, t, p):
+        # A good coloring's present graph has no K_r, r = r(s,t), so Turán
+        # (1941) bounds it by t(p, r-1) edges; blowing a good coloring of
+        # K_{r-1} up into r-1 parts meets the bound.  The lex-first minimal
+        # set deletes the cliques on r-1 runs of consecutive vertices, as
+        # equal as possible, larger runs first.
+        q = KNOWN_RAMSEY[s, t] - 1
+        sizes = [p // q + 1] * (p % q) + [p // q] * (q - p % q)
+        turan_edges = sum(a * b for a, b in combinations(sizes, 2))
+        runs, start = [], 0
+        for size in sizes:
+            runs += combinations(range(start, start + size), 2)
+            start += size
+        deleted = min_deletions(s, t, p, math.comb(p, 2)).graph.deleted
+        assert len(deleted) == math.comb(p, 2) - turan_edges
+        assert deleted == tuple(runs)
 
 
 def lex_scan_min_deletions(s, t, p):
