@@ -56,7 +56,10 @@ def _edge_argument(text: str) -> Edge:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: refused with the same message
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value

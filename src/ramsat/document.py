@@ -72,7 +72,7 @@ class ColoringDocument(CheckedRecord, _DocumentFields):
     def from_json_text(cls, text: str) -> "ColoringDocument":
         try:
             raw = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise DocumentError(f"not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise DocumentError("top level must be a JSON object")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, permutations
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 Edge = tuple[int, int]
 
@@ -40,29 +40,29 @@ def edge_count(p: int) -> int:
     return math.comb(p, 2)
 
 
-def deletion_classes(p: int, k: int) -> list[tuple[Edge, ...]]:
-    """One k-edge set of K_p per isomorphism class, in lexicographic order.
+def deletion_classes(p: int) -> Iterator[list[tuple[Edge, ...]]]:
+    """Yield level k = 0, 1, ..., C(p,2) of K_p's k-edge sets, one per class.
 
-    A class is represented by its lex-least member: the sorted edge tuple
-    that is smallest over all relabellings of the p vertices.  The
-    representatives are built by orderly generation (Read 1978; McKay
+    Level k holds one k-edge set per isomorphism class, in lexicographic
+    order.  A class is represented by its lex-least member: the sorted
+    edge tuple that is smallest over all relabellings of the p vertices.
+    The representatives are built by orderly generation (Read 1978; McKay
     1998): each level-k one is a level-(k-1) one with a later edge
     appended, kept only if it is lex-least.  Dropping the last edge of a
     lex-least set leaves a lex-least set, so every class is reached, and
-    from exactly one parent.
+    from exactly one parent.  Each level is built once, from the one
+    before, and only when the caller asks for it.
     """
-    if k < 0:
-        raise ValueError("deletion count must be non-negative")
     edges = list(combinations(range(p), 2))
     level: list[tuple[Edge, ...]] = [()]
-    for _ in range(k):
+    while level:  # the level past C(p,2) is empty: no edge follows the last
+        yield level
         level = [
             rep + (e,)
             for rep in level
             for e in edges
             if (not rep or e > rep[-1]) and _is_lex_least(rep + (e,))
         ]
-    return level
 
 
 def _is_lex_least(target: tuple[Edge, ...]) -> bool:

@@ -7,6 +7,7 @@ for the small classical numbers, so its default ceiling is n_max = 14.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import NamedTuple, Optional
 
 from .cnf import CnfFormula, decode, encode, symmetry_break
@@ -181,9 +182,8 @@ def min_deletions(
     if not 0 <= k_max <= m:
         raise ValueError(f"k_max must be between 0 and {m}")
     check_size(p, s, t)
-    for k in range(k_max + 1):
-        for deleted in deletion_classes(p, k):
-            coloring = good_coloring(p, s, t, deleted, budget=budget)
-            if coloring is not None:
-                return coloring
+    for deleted in chain.from_iterable(islice(deletion_classes(p), k_max + 1)):
+        coloring = good_coloring(p, s, t, deleted, budget=budget)
+        if coloring is not None:
+            return coloring
     return None

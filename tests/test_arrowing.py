@@ -8,7 +8,7 @@ for any deletion set, never from the solver itself.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 from ramsat import DeletedEdgeGraph, SolveStatus, decide, is_good
 from ramsat.graphs import deletion_classes
@@ -60,10 +60,10 @@ def test_graham_k8_minus_c5_arrows_3_3():
 
 
 def test_k8_minus_at_most_7_edges_has_one_k6_free_arrower():
+    classes = chain.from_iterable(islice(deletion_classes(8), 8))
     k6_free = [
         graph
-        for k in range(8)
-        for graph in (DeletedEdgeGraph(8, d) for d in deletion_classes(8, k))
+        for graph in (DeletedEdgeGraph(8, d) for d in classes)
         if not has_clique(graph, 6)
     ]
     assert len(k6_free) == 161
@@ -75,10 +75,10 @@ def test_k6_free_graphs_on_7_vertices_do_not_arrow_3_3():
     # Folkman (1970): F_e(3,3;6) = 8.  Removing edges keeps a coloring
     # good, and K_7 minus D is K_6-free only if D contains two disjoint
     # edges or a triangle, so the classes with at most 3 edges suffice.
+    classes = chain.from_iterable(islice(deletion_classes(7), 4))
     k6_free = [
         graph
-        for k in range(4)
-        for graph in (DeletedEdgeGraph(7, d) for d in deletion_classes(7, k))
+        for graph in (DeletedEdgeGraph(7, d) for d in classes)
         if not has_clique(graph, 6)
     ]
     minimal = {((0, 1), (2, 3)), ((0, 1), (0, 2), (1, 2))}
@@ -90,11 +90,10 @@ def test_clique_and_chromatic_number_rules_on_small_graphs():
     # a K_r has no good coloring, and a present graph whose vertices take
     # r-1 colors is the blow-up of a good coloring of K_{r-1}
     for n in range(1, 7):
-        for k in range(n * (n - 1) // 2 + 1):
-            for deleted in deletion_classes(n, k):
-                graph = DeletedEdgeGraph(n, deleted)
-                for (s, t), r in KNOWN_RAMSEY.items():
-                    if has_clique(graph, r):
-                        assert not colorable(graph, s, t), (graph, s, t)
-                    elif vertex_colorable(graph, r - 1):
-                        assert colorable(graph, s, t), (graph, s, t)
+        for deleted in chain.from_iterable(deletion_classes(n)):
+            graph = DeletedEdgeGraph(n, deleted)
+            for (s, t), r in KNOWN_RAMSEY.items():
+                if has_clique(graph, r):
+                    assert not colorable(graph, s, t), (graph, s, t)
+                elif vertex_colorable(graph, r - 1):
+                    assert colorable(graph, s, t), (graph, s, t)

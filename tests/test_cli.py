@@ -108,6 +108,15 @@ class TestNumber:
             main(["number", "-s", "0", "-t", "3"])
         assert excinfo.value.code == 2
 
+    def test_non_integer_gets_the_non_positive_message(self, capsys):
+        for text in ["0", "x"]:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["number", "-s", text, "-t", "3"])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert f"expected a positive integer, got {text!r}" in err
+            assert "_positive_int" not in err
+
 
 class TestSolve:
     def test_k6_unsat(self, capsys):

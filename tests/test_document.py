@@ -76,6 +76,14 @@ class TestJsonRoundTrip:
         with pytest.raises(DocumentError, match="not valid JSON"):
             ColoringDocument.from_json_text("[" * 100_000)
 
+    def test_rejects_an_integer_past_the_digit_limit(self):
+        # where CPython caps integer digits (4,300 by default) json
+        # refuses this n; without the cap the edge count fails instead
+        with pytest.raises(DocumentError):
+            ColoringDocument.from_json_text(
+                '{"n": %s, "deleted_edges": [], "red": [], "blue": []}' % ("1" * 5000)
+            )
+
     def test_rejects_non_object(self):
         with pytest.raises(DocumentError, match="object"):
             ColoringDocument.from_json_text("[1, 2]")

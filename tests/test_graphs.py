@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -111,9 +111,10 @@ class TestDeletionClasses:
         # and each representative is the least member of its orbit
         relabels = list(permutations(range(p)))
         all_edges = list(combinations(range(p), 2))
-        for k in range(len(all_edges) + 1):
+        levels = list(deletion_classes(p))
+        assert len(levels) == len(all_edges) + 1
+        for k, reps in enumerate(levels):
             covered = set()
-            reps = deletion_classes(p, k)
             assert reps == sorted(reps)
             for rep in reps:
                 orbit = {relabelled(rep, relabel) for relabel in relabels}
@@ -124,8 +125,5 @@ class TestDeletionClasses:
 
     def test_counts_graphs_with_k_edges(self):
         # OEIS A000664: graphs with k edges, all of which fit on 10 vertices
-        assert [len(deletion_classes(10, k)) for k in range(6)] == [1, 1, 2, 5, 11, 26]
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            deletion_classes(4, -1)
+        counts = [len(level) for level in islice(deletion_classes(10), 6)]
+        assert counts == [1, 1, 2, 5, 11, 26]

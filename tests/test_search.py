@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -256,6 +256,27 @@ class TestMinDeletions:
         ]
         assert counts == sorted(counts)
         assert counts == [0, 0, 0, 0, 1]
+
+    def test_each_level_is_built_once(self, monkeypatch):
+        # K_9 at (3,3) needs e = 4, so the walk builds levels 1..4, each
+        # from the level before: one lex-least test per candidate edge
+        # after each representative of levels 0..3
+        levels = list(islice(ramsat.graphs.deletion_classes(9), 4))
+        candidates = sum(
+            sum(1 for e in combinations(range(9), 2) if not rep or e > rep[-1])
+            for level in levels
+            for rep in level
+        )
+        calls = []
+        is_lex_least = ramsat.graphs._is_lex_least
+
+        def counted(target):
+            calls.append(target)
+            return is_lex_least(target)
+
+        monkeypatch.setattr(ramsat.graphs, "_is_lex_least", counted)
+        assert len(min_deletions(3, 3, 9, 4).graph.deleted) == 4
+        assert len(calls) == candidates
 
     def test_k_max_bounds(self):
         with pytest.raises(ValueError):
