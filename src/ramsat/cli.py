@@ -44,15 +44,17 @@ EXIT_INTERRUPTED = 130
 
 def _edge_argument(text: str) -> Edge:
     """Parse an edge written as u-v."""
+    malformed = argparse.ArgumentTypeError(f"expected an edge like 0-5, got {text!r}")
     match = re.fullmatch(r"(\d+)-(\d+)", text)
     if match is None:
-        raise argparse.ArgumentTypeError(f"expected an edge like 0-5, got {text!r}")
+        raise malformed
     try:
-        return edge(int(match.group(1)), int(match.group(2)))
-    except ValueError as exc:
-        # the pattern admits only non-negative vertices, so edge() can
-        # object to nothing but a loop
-        raise argparse.ArgumentTypeError(f"loop edge {text!r}") from exc
+        u, v = map(int, match.groups())
+    except ValueError as exc:  # a vertex past int()'s digit limit
+        raise malformed from exc
+    if u == v:
+        raise argparse.ArgumentTypeError(f"loop edge {text!r}")
+    return edge(u, v)
 
 
 def _positive_int(text: str) -> int:
@@ -180,7 +182,7 @@ def cmd_number(args: argparse.Namespace) -> int:
     if result is None:
         print(f"r({args.s},{args.t}) > {args.max_n}")
         return EXIT_EXHAUSTED
-    if args.witness and result.witness is not None:
+    if args.witness:
         _write_coloring(args.witness, result.witness)
     print(f"r({args.s},{args.t}) = {result.p}")
     return EXIT_OK

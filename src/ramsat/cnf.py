@@ -6,9 +6,10 @@ t-subset clique contributes "not all its edges blue".  Subsets spanning a
 deleted edge contribute nothing.  Models of the formula are exactly the
 good colorings.
 
-Degenerate sizes fall out of the same rule: s = 1 makes every single
+Degenerate cases fall out of the same rule: s = 1 makes every single
 vertex a red clique with zero edges, so its clause is empty and the
-formula is unsatisfiable on any graph with a vertex.
+formula is unsatisfiable on any graph with a vertex; K_0 has no vertex,
+so its formula is empty and its one model is the empty coloring.
 """
 
 from __future__ import annotations
@@ -59,13 +60,9 @@ def encode(graph: DeletedEdgeGraph, s: int, t: int) -> CnfFormula:
 
     Clause order is fixed: all red-blocking clauses in subset order, then
     all blue-blocking clauses in subset order.  Identical inputs give
-    identical formulas.  An empty graph, a size below 1, and an instance
-    that `check_size` refuses raise ValueError before any clause is built.
+    identical formulas.  A size or an instance that `check_size` refuses
+    raises ValueError before any clause is built.
     """
-    if graph.p < 1:
-        raise ValueError("graph must have at least one vertex")
-    if s < 1 or t < 1:
-        raise ValueError("clique sizes must be at least 1")
     check_size(graph.p, s, t)
     present = graph.present_edges()
     not_red = {e: -v for v, e in enumerate(present, start=1)}

@@ -64,16 +64,14 @@ def is_good(coloring: EdgeColoring, s: int, t: int) -> Verdict:
     A bad verdict's witness is the lexicographically first clique of the
     first color that has one, so red witnesses take priority.  A single
     vertex is a clique of either color, so a size of 1 is bad on any
-    non-empty graph.  A size below 1 raises ValueError once its color is
-    reached; a walk that `check_size` refuses raises it before any subset.
+    non-empty graph.  A size or a walk that `check_size` refuses raises
+    ValueError before any subset.
     """
     graph = coloring.graph
     check_size(graph.p, s, t)
     deleted = graph.deleted  # with none, every subset is a clique
     assignment = coloring.assignment
     for color, k in ((Color.RED, s), (Color.BLUE, t)):
-        if k < 1:
-            raise ValueError("clique size must be at least 1")
         for subset in combinations(range(graph.p), k):
             if deleted and not subset_is_clique(graph, subset):
                 continue

@@ -104,20 +104,20 @@ def _is_lex_least(target: tuple[Edge, ...]) -> bool:
 
 
 def check_size(p: int, s: int, t: int) -> None:
-    """Raise ValueError if walking the s- and t-subsets of K_p is too big.
+    """Raise ValueError for a size below 1, or a subset walk of K_p too big.
 
     Both bounds ignore deletions: at most C(p,s) + C(p,t) subsets, and at
-    most C(p,2) edges plus C(p,s)·C(s,2) + C(p,t)·C(t,2) edge reads.  A
-    size below 1 counts nothing here; each walker rejects it itself.
+    most C(p,2) edges plus C(p,s)·C(s,2) + C(p,t)·C(t,2) edge reads.
     """
-    sizes = [k for k in (s, t) if k > 0]
-    bound = sum(math.comb(p, k) for k in sizes)
+    if s < 1 or t < 1:
+        raise ValueError("clique sizes must be at least 1")
+    bound = math.comb(p, s) + math.comb(p, t)
     if bound > MAX_CLAUSES:
         raise ValueError(
             f"K_{p} at ({s},{t}) needs up to {bound:,} subsets, "
             f"over the limit of {MAX_CLAUSES:,}"
         )
-    size = math.comb(p, 2) + sum(math.comb(p, k) * math.comb(k, 2) for k in sizes)
+    size = math.comb(p, 2) + sum(math.comb(p, k) * math.comb(k, 2) for k in (s, t))
     if size > MAX_SIZE:
         raise ValueError(
             f"K_{p} at ({s},{t}) needs up to {size:,} edges and edge reads, "

@@ -1,13 +1,13 @@
 """Ramsey-number search, coloring extension, and minimal deletion sets.
 
 r(s,t) is the least p such that K_p has no good coloring for (s,t).  The
-search here simply walks p = 1, 2, ... and asks the solver; it is meant
+search here simply walks p = 0, 1, ... and asks the solver; it is meant
 for the small classical numbers, so its default ceiling is n_max = 14.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain, islice, pairwise
 from typing import NamedTuple, Optional
 
 from .cnf import CnfFormula, decode, encode, symmetry_break
@@ -27,10 +27,10 @@ DEFAULT_MAX_N = 14
 
 
 class RamseyResult(NamedTuple):
-    """r(s,t) = p, with a good coloring of K_{p-1} unless p = 1."""
+    """r(s,t) = p, with a good coloring of K_{p-1}: for p = 1, K_0's empty one."""
 
     p: int
-    witness: Optional[EdgeColoring]
+    witness: EdgeColoring
 
 
 class Decision(NamedTuple):
@@ -101,23 +101,20 @@ def ramsey_number(
     *,
     budget: int = DEFAULT_DECISION_BUDGET,
 ) -> Optional[RamseyResult]:
-    """Walk n = 1, 2, ..., n_max until K_n has no good coloring.
+    """Walk n = 0, 1, ..., n_max until K_n has no good coloring.
 
-    The witness is the good coloring found at p - 1.  It is None when
-    p = 1: then s or t is 1, a single vertex is already a monochromatic
-    K_1, and K_0 has no edges to color.
+    The witness is the good coloring found at p - 1.  K_0, with no edges,
+    always has one, so every witness comes from `decide`.
     Returns None if every n up to n_max still has a good coloring, that
     is r(s,t) > n_max, and lets the solver's BudgetExceededError (which
     names n) propagate.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    witness = None
-    for n in range(1, n_max + 1):
-        coloring = good_coloring(n, s, t, budget=budget)
+    colorings = (good_coloring(n, s, t, budget=budget) for n in range(n_max + 1))
+    for n, (witness, coloring) in enumerate(pairwise(colorings), start=1):
         if coloring is None:
             return RamseyResult(n, witness)
-        witness = coloring
     return None
 
 
@@ -176,8 +173,6 @@ def min_deletions(
     e > k_max, and raises ValueError, before any class is built, when
     `check_size` refuses K_p.
     """
-    if p < 2:
-        raise ValueError("p must be at least 2")
     m = edge_count(p)
     if not 0 <= k_max <= m:
         raise ValueError(f"k_max must be between 0 and {m}")

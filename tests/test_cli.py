@@ -70,11 +70,14 @@ class TestNumber:
         assert doc.n == 5
         assert is_good(doc.to_coloring(), 3, 3).good
 
-    def test_no_witness_file_for_r1(self, tmp_path, capsys):
+    def test_witness_file_for_r1_holds_k0(self, tmp_path, capsys):
         witness = tmp_path / "witness.json"
         assert main(["number", "-s", "1", "-t", "3", "--witness", str(witness)]) == 0
         assert capsys.readouterr().out == "r(1,3) = 1\n"
-        assert not witness.exists()
+        doc = ColoringDocument.from_json_text(witness.read_text(encoding="utf-8"))
+        assert doc.n == 0
+        assert main(["verify", str(witness), "-s", "1", "-t", "3"]) == 0
+        assert capsys.readouterr().out == "GOOD\n"
 
     def test_max_n_exhausted(self, capsys):
         assert main(["number", "-s", "3", "-t", "3", "--max-n", "5"]) == 3
@@ -188,6 +191,19 @@ class TestSolve:
         with pytest.raises(SystemExit) as excinfo:
             main(["solve", "-n", "6", "-s", "3", "-t", "3", "--delete", "3-3"])
         assert excinfo.value.code == 2
+
+    def test_long_vertex_is_not_a_loop(self, capsys):
+        # past int()'s digit limit the edge is malformed; on a Python
+        # without that limit the vertex lies outside K_6
+        argv = ["solve", "-n", "6", "-s", "3", "-t", "3", "--delete", "1" * 5000 + "-3"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "loop edge" not in err
+        assert "expected an edge like 0-5, got '111" in err or "outside K_6" in err
 
     def test_edge_outside_graph(self, capsys):
         assert main(["solve", "-n", "6", "-s", "3", "-t", "3", "--delete", "0-9"]) == 2
@@ -389,8 +405,14 @@ class TestMinDeletions:
 
     def test_invalid_max_k(self, capsys):
         assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "4", "--max-k", "9"]) == 2
-        assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "1"]) == 2
-        assert "p must be at least 2" in capsys.readouterr().err
+        assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "1", "--max-k", "1"]) == 2
+        assert "k_max must be between 0 and 0" in capsys.readouterr().err
+
+    def test_one_vertex(self, capsys):
+        assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "1"]) == 0
+        assert capsys.readouterr().out == "e = 0\ndeleted: none\n"
+        assert main(["min-deletions", "-s", "1", "-t", "3", "-p", "1"]) == 3
+        assert capsys.readouterr().out == "e > 0\n"
 
 
 class TestExportDot:

@@ -122,9 +122,14 @@ class TestEncode:
         formula = encode(DeletedEdgeGraph(3), 4, 5)
         assert formula.clauses == ()
 
-    def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            encode(DeletedEdgeGraph(0), 3, 3)
+    def test_empty_graph_encodes_to_the_empty_formula(self):
+        # K_0 has no vertex to form a clique of any size, and no edge
+        graph = DeletedEdgeGraph(0)
+        for s, t in ((1, 1), (1, 3), (3, 3)):
+            assert encode(graph, s, t) == (0, ())
+        result = solve(encode(graph, 3, 3))
+        assert result.status is SolveStatus.SAT
+        assert decode(result.model, graph) == EdgeColoring(graph, {})
 
     def test_size_zero_rejected(self):
         with pytest.raises(ValueError):

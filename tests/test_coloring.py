@@ -80,11 +80,12 @@ class TestFindMonoClique:
 
     def test_size_zero_rejected(self, c5_coloring):
         for s, t in ((0, 3), (3, 0)):
-            with pytest.raises(ValueError, match="at least 1"):
+            with pytest.raises(ValueError, match="clique sizes must be at least 1"):
                 is_good(c5_coloring, s, t)
-        # the blue size is checked only once no red clique was found
+        # both sizes are checked before any subset, even with a red clique
         red_k3 = make_coloring(3, {(0, 1), (0, 2), (1, 2)})
-        assert is_good(red_k3, 3, 0) == (False, (Color.RED, (0, 1, 2)))
+        with pytest.raises(ValueError, match="clique sizes must be at least 1"):
+            is_good(red_k3, 3, 0)
 
     def test_returns_lexicographically_first(self):
         # red edges (1,2),(1,3),(2,3) and (2,4),(3,4): triangles (1,2,3) and (2,3,4)

@@ -45,7 +45,7 @@ class TestDecide:
         graph = DeletedEdgeGraph(6, deleted)
         assert decide(graph, 3, 3).formula == encode(graph, 3, 3)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
     def test_status_agrees_with_brute_force(self, n):
         # Colorability depends only on the isomorphism class of the deletion
         # graph, and a set of at most two edges is fixed up to relabelling by
@@ -58,8 +58,9 @@ class TestDecide:
                 for s, t in product(range(1, 5), repeat=2):
                     key = (k, len({v for e in deleted for v in e}), s, t)
                     if key not in oracle:
-                        # a single vertex is a red K_1 and a blue K_1
-                        oracle[key] = (
+                        # K_0 has no vertex, so every (s,t) is good on it;
+                        # elsewhere a single vertex is a red K_1 and a blue K_1
+                        oracle[key] = n == 0 or (
                             s > 1
                             and t > 1
                             and brute_force_good_coloring(graph, s, t) is not None
@@ -87,8 +88,8 @@ class TestGoodColoring:
             good_coloring(6, 3, 3, budget=3)
 
     def test_bad_n_rejected(self):
-        with pytest.raises(ValueError):
-            good_coloring(0, 3, 3)
+        with pytest.raises(ValueError, match="non-negative"):
+            good_coloring(-1, 3, 3)
 
 
 class TestRamseyNumber:
@@ -105,10 +106,10 @@ class TestRamseyNumber:
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_one_clique_size(self, t):
-        # a single vertex is already a red K_1
+        # a single vertex is already a red K_1; the witness is K_0's coloring
         result = ramsey_number(1, t)
         assert result.p == 1
-        assert result.witness is None
+        assert result.witness == EdgeColoring(DeletedEdgeGraph(0), {})
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5])
     def test_two_clique_size(self, t):
@@ -296,8 +297,14 @@ class TestMinDeletions:
             min_deletions(s, t, p, 0)
 
     def test_small_p_rejected(self):
-        with pytest.raises(ValueError):
-            min_deletions(3, 3, 1, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            min_deletions(3, 3, -1, 0)
+
+    def test_one_vertex(self):
+        # K_1 has no edge: good when neither size is 1, else no deletion helps
+        coloring = min_deletions(3, 3, 1, 0)
+        assert coloring == EdgeColoring(DeletedEdgeGraph(1), {})
+        assert min_deletions(1, 3, 1, 0) is None
 
     @pytest.mark.parametrize(
         "s, t, p", [(3, 3, p) for p in range(2, 9)] + [(3, 4, p) for p in range(2, 10)]
