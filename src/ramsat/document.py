@@ -1,10 +1,10 @@
 """JSON coloring documents and DOT figure export.
 
 The interchange format is a single JSON object with exactly the keys
-n, deleted_edges, red, blue.  The three edge lists must partition the
-edges of K_n: canonical [u, v] pairs with u < v, each list sorted
-lexicographically, no duplicates, no overlaps, no gaps.  Every violation
-is rejected with the broken invariant named.
+n, deleted_edges, red, blue, each once.  The three edge lists must
+partition the edges of K_n: canonical [u, v] pairs with u < v, each list
+sorted lexicographically, no duplicates, no overlaps, no gaps.  Every
+violation is rejected with the broken invariant named.
 """
 
 from __future__ import annotations
@@ -14,64 +14,35 @@ from typing import NamedTuple
 
 from .coloring import Color, EdgeColoring
 from .errors import DocumentError
-from .graphs import CheckedRecord, DeletedEdgeGraph, Edge, edge_count
+from .graphs import DeletedEdgeGraph, Edge, edge_count
 
 _KEYS = ("n", "deleted_edges", "red", "blue")
 
 
-class _DocumentFields(NamedTuple):
-    n: int
-    deleted_edges: tuple[Edge, ...]
-    red: tuple[Edge, ...]
-    blue: tuple[Edge, ...]
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-class ColoringDocument(CheckedRecord, _DocumentFields):
-    """Validated document contents; construction enforces the schema."""
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """json's object hook: a repeated key is refused, not overwritten."""
+    raw: dict[str, object] = {}
+    for key, value in pairs:
+        if key in raw:
+            raise DocumentError(f"duplicate key {key!r}")
+        raw[key] = value
+    return raw
 
-    __slots__ = ()
 
-    def __new__(
-        cls,
-        n: int,
-        deleted_edges: tuple[Edge, ...],
-        red: tuple[Edge, ...],
-        blue: tuple[Edge, ...],
-    ) -> ColoringDocument:
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise DocumentError("n must be an integer")
-        if n < 0:
-            raise DocumentError("n must be non-negative")
-        seen: set[Edge] = set()
-        total = 0
-        for name, edges in zip(_KEYS[1:], (deleted_edges, red, blue)):
-            for e in edges:
-                u, v = e
-                for w in (u, v):
-                    if isinstance(w, bool) or not isinstance(w, int):
-                        raise DocumentError(f"{name} contains a non-integer vertex")
-                if not 0 <= u < v < n:
-                    raise DocumentError(
-                        f"{name} contains non-canonical or out-of-range pair [{u}, {v}]"
-                    )
-                if e in seen:
-                    raise DocumentError(
-                        f"edge [{u}, {v}] appears in more than one list or twice"
-                    )
-                seen.add(e)
-            if list(edges) != sorted(edges):
-                raise DocumentError(f"{name} is not sorted lexicographically")
-            total += len(edges)
-        if total != edge_count(n):
-            raise DocumentError(
-                f"lists cover {total} edges but K_{n} has {edge_count(n)}"
-            )
-        return super().__new__(cls, n, deleted_edges, red, blue)
+class ColoringDocument(NamedTuple):
+    """A checked coloring in its JSON form; the schema is checked where the
+    text comes in, in `from_json_text`."""
+
+    coloring: EdgeColoring
 
     @classmethod
     def from_json_text(cls, text: str) -> "ColoringDocument":
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             raise DocumentError(f"not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -82,45 +53,62 @@ class ColoringDocument(CheckedRecord, _DocumentFields):
             if missing:
                 raise DocumentError(f"missing key {missing[0]!r}")
             raise DocumentError(f"unexpected key {extra[0]!r}")
-        lists = {}
-        for name in ("deleted_edges", "red", "blue"):
+        lists: dict[str, list[Edge]] = {}
+        for name in _KEYS[1:]:
             value = raw[name]
             if not isinstance(value, list):
                 raise DocumentError(f"{name} must be a list")
-            pairs = []
-            for item in value:
-                if not isinstance(item, list) or len(item) != 2:
-                    raise DocumentError(f"{name} entries must be two-element lists")
-                pairs.append((item[0], item[1]))
-            lists[name] = tuple(pairs)
-        return cls(raw["n"], lists["deleted_edges"], lists["red"], lists["blue"])
+            if not all(isinstance(item, list) and len(item) == 2 for item in value):
+                raise DocumentError(f"{name} entries must be two-element lists")
+            lists[name] = [tuple(item) for item in value]
+        n = raw["n"]
+        if not _is_int(n):
+            raise DocumentError("n must be an integer")
+        if n < 0:
+            raise DocumentError("n must be non-negative")
+        seen: set[Edge] = set()
+        for name, edges in lists.items():
+            for (u, v) in edges:
+                if not (_is_int(u) and _is_int(v)):
+                    raise DocumentError(f"{name} contains a non-integer vertex")
+                if not 0 <= u < v < n:
+                    raise DocumentError(
+                        f"{name} contains non-canonical or out-of-range pair [{u}, {v}]"
+                    )
+                if (u, v) in seen:
+                    raise DocumentError(
+                        f"edge [{u}, {v}] appears in more than one list or twice"
+                    )
+                seen.add((u, v))
+            if edges != sorted(edges):
+                raise DocumentError(f"{name} is not sorted lexicographically")
+        # counted before K_n's edge list is built, so a huge n is cheap to refuse
+        if len(seen) != edge_count(n):
+            raise DocumentError(
+                f"lists cover {len(seen)} edges but K_{n} has {edge_count(n)}"
+            )
+        assignment = dict.fromkeys(lists["red"], Color.RED)
+        assignment.update(dict.fromkeys(lists["blue"], Color.BLUE))
+        return cls(EdgeColoring(DeletedEdgeGraph(n, lists["deleted_edges"]), assignment))
 
     def to_json_text(self) -> str:
         """Canonical rendering: sorted keys, two-space indent, one trailing
         newline.  Equal documents serialize to identical bytes."""
+        coloring = self.coloring
         payload = {
-            "n": self.n,
-            "deleted_edges": [list(e) for e in self.deleted_edges],
-            "red": [list(e) for e in self.red],
-            "blue": [list(e) for e in self.blue],
+            "n": coloring.graph.p,
+            "deleted_edges": [list(e) for e in coloring.graph.deleted],
+            "red": [list(e) for e in coloring.edges_of_color(Color.RED)],
+            "blue": [list(e) for e in coloring.edges_of_color(Color.BLUE)],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_coloring(cls, coloring: EdgeColoring) -> "ColoringDocument":
-        graph = coloring.graph
-        return cls(
-            graph.p,
-            graph.deleted,
-            tuple(coloring.edges_of_color(Color.RED)),
-            tuple(coloring.edges_of_color(Color.BLUE)),
-        )
+        return cls(coloring)
 
     def to_coloring(self) -> EdgeColoring:
-        graph = DeletedEdgeGraph(self.n, self.deleted_edges)
-        assignment = {e: Color.RED for e in self.red}
-        assignment.update({e: Color.BLUE for e in self.blue})
-        return EdgeColoring(graph, assignment)
+        return self.coloring
 
     def to_dot(self) -> str:
         """Undirected DOT graph with color attributes, edges in lex order.
@@ -128,12 +116,11 @@ class ColoringDocument(CheckedRecord, _DocumentFields):
         Deleted edges are simply absent, matching how a one-edge-deleted
         example is usually drawn.
         """
-        color_of = {e: "red" for e in self.red}
-        color_of.update({e: "blue" for e in self.blue})
+        graph, assignment = self.coloring
         lines = ["graph coloring {"]
-        for v in range(self.n):
+        for v in range(graph.p):
             lines.append(f"  {v};")
-        for (u, v) in sorted(color_of):
-            lines.append(f"  {u} -- {v} [color={color_of[(u, v)]}];")
+        for (u, v) in graph.present_edges():
+            lines.append(f"  {u} -- {v} [color={assignment[(u, v)].value}];")
         lines.append("}")
         return "\n".join(lines) + "\n"

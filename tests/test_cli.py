@@ -67,7 +67,7 @@ class TestNumber:
         witness = tmp_path / "witness.json"
         assert main(["number", "-s", "3", "-t", "3", "--witness", str(witness)]) == 0
         doc = ColoringDocument.from_json_text(witness.read_text(encoding="utf-8"))
-        assert doc.n == 5
+        assert doc.coloring.graph.p == 5
         assert is_good(doc.to_coloring(), 3, 3).good
 
     def test_witness_file_for_r1_holds_k0(self, tmp_path, capsys):
@@ -75,7 +75,7 @@ class TestNumber:
         assert main(["number", "-s", "1", "-t", "3", "--witness", str(witness)]) == 0
         assert capsys.readouterr().out == "r(1,3) = 1\n"
         doc = ColoringDocument.from_json_text(witness.read_text(encoding="utf-8"))
-        assert doc.n == 0
+        assert doc.coloring.graph.p == 0
         assert main(["verify", str(witness), "-s", "1", "-t", "3"]) == 0
         assert capsys.readouterr().out == "GOOD\n"
 
@@ -143,7 +143,7 @@ class TestSolve:
         )
         assert code == 0
         doc = ColoringDocument.from_json_text(coloring_path.read_text(encoding="utf-8"))
-        assert doc.deleted_edges == ((0, 5),)
+        assert doc.coloring.graph.deleted == ((0, 5),)
         assert is_good(doc.to_coloring(), 3, 3).good
         lines = dimacs_path.read_text(encoding="utf-8").splitlines()
         assert "p cnf 14 32" in lines
@@ -256,6 +256,19 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "more than one list" in err
 
+    def test_repeated_key_refused(self, tmp_path, capsys):
+        # json keeps the last "n", which would make this a good K_3
+        path = tmp_path / "dupkey.json"
+        path.write_text(
+            '{"n": 9, "deleted_edges": [], "red": [[0, 1], [0, 2], [1, 2]], '
+            '"blue": [], "n": 3}',
+            encoding="utf-8",
+        )
+        assert main(["verify", str(path), "-s", "4", "-t", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate key 'n'\n"
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope.json"), "-s", "3", "-t", "3"]) == 2
 
@@ -289,8 +302,8 @@ class TestExtend:
         assert code == 0
         assert capsys.readouterr().out == "deleted edge 0-5\n"
         doc = ColoringDocument.from_json_text(out_path.read_text(encoding="utf-8"))
-        assert doc.n == 6
-        assert doc.deleted_edges == ((0, 5),)
+        assert doc.coloring.graph.p == 6
+        assert doc.coloring.graph.deleted == ((0, 5),)
         assert main(["verify", str(out_path), "-s", "3", "-t", "3"]) == 0
 
     def test_bad_input_coloring(self, tmp_path, capsys):
@@ -373,7 +386,7 @@ class TestMinDeletions:
             ["min-deletions", "-s", "3", "-t", "3", "-p", "6", "--json", str(out)]
         ) == 0
         doc = ColoringDocument.from_json_text(out.read_text(encoding="utf-8"))
-        assert doc.deleted_edges == ((0, 1),)
+        assert doc.coloring.graph.deleted == ((0, 1),)
         assert is_good(doc.to_coloring(), 3, 3).good
 
     def test_failed_json_write_prints_nothing(self, tmp_path, capsys):

@@ -6,53 +6,75 @@ import json
 
 import pytest
 
-from ramsat import Color, ColoringDocument, DocumentError
+from ramsat import Color, ColoringDocument, DeletedEdgeGraph, DocumentError, EdgeColoring
 from .conftest import C5_RED, make_coloring
+from .oracle import every_coloring
 
 
 def c5_document() -> ColoringDocument:
     return ColoringDocument.from_coloring(make_coloring(5, C5_RED))
 
 
+def document_text(n, deleted_edges, red, blue) -> str:
+    return json.dumps({"n": n, "deleted_edges": deleted_edges, "red": red, "blue": blue})
+
+
 class TestSchema:
-    def test_from_coloring_fields(self):
-        doc = c5_document()
-        assert doc.n == 5
-        assert doc.deleted_edges == ()
-        assert doc.red == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
-        assert len(doc.blue) == 5
+    def test_from_coloring_fields(self, monkeypatch):
+        # the document wraps the checked coloring and checks nothing again:
+        # no edge list is built
+        coloring = make_coloring(5, C5_RED)
+        monkeypatch.delattr(DeletedEdgeGraph, "present_edges")
+        doc = ColoringDocument.from_coloring(coloring)
+        assert ColoringDocument._fields == ("coloring",)
+        assert doc.coloring is coloring
+        assert doc.to_coloring() is coloring
 
     def test_rejects_overlap(self):
         with pytest.raises(DocumentError, match="more than one list"):
-            ColoringDocument(3, (), ((0, 1), (0, 2)), ((0, 1), (1, 2)))
+            ColoringDocument.from_json_text(
+                document_text(3, [], [[0, 1], [0, 2]], [[0, 1], [1, 2]])
+            )
 
     def test_rejects_gap(self):
-        with pytest.raises(DocumentError, match="cover"):
-            ColoringDocument(3, (), ((0, 1),), ((1, 2),))
+        with pytest.raises(DocumentError, match="lists cover 2 edges but K_3 has 3"):
+            ColoringDocument.from_json_text(document_text(3, [], [[0, 1]], [[1, 2]]))
 
     def test_rejects_non_canonical_pair(self):
-        with pytest.raises(DocumentError, match="non-canonical"):
-            ColoringDocument(3, (), ((1, 0), (0, 2)), ((1, 2),))
+        with pytest.raises(DocumentError, match=r"non-canonical .* pair \[1, 0\]"):
+            ColoringDocument.from_json_text(
+                document_text(3, [], [[1, 0], [0, 2]], [[1, 2]])
+            )
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DocumentError, match="out-of-range"):
-            ColoringDocument(3, (), ((0, 3), (0, 2)), ((1, 2),))
+            ColoringDocument.from_json_text(
+                document_text(3, [], [[0, 3], [0, 2]], [[1, 2]])
+            )
 
     def test_rejects_unsorted_list(self):
-        with pytest.raises(DocumentError, match="not sorted"):
-            ColoringDocument(3, (), ((0, 2), (0, 1)), ((1, 2),))
+        with pytest.raises(DocumentError, match="red is not sorted"):
+            ColoringDocument.from_json_text(
+                document_text(3, [], [[0, 2], [0, 1]], [[1, 2]])
+            )
 
     def test_rejects_duplicate_edge(self):
         with pytest.raises(DocumentError, match="twice"):
-            ColoringDocument(3, (), ((0, 1), (0, 1), (0, 2)), ((1, 2),))
+            ColoringDocument.from_json_text(
+                document_text(3, [], [[0, 1], [0, 1], [0, 2]], [[1, 2]])
+            )
 
     def test_rejects_negative_n(self):
         with pytest.raises(DocumentError, match="non-negative"):
-            ColoringDocument(-1, (), (), ())
+            ColoringDocument.from_json_text(document_text(-1, [], [], []))
 
     def test_empty_graph_allowed(self):
-        doc = ColoringDocument(1, (), (), ())
+        doc = ColoringDocument.from_json_text(document_text(1, [], [], []))
         assert doc.to_coloring().graph.p == 1
+
+    def test_huge_n_refused_before_any_edge_list(self, nothing_built):
+        with pytest.raises(DocumentError, match="lists cover 0 edges"):
+            ColoringDocument.from_json_text(document_text(10**30, [], [], []))
 
 
 class TestJsonRoundTrip:
@@ -112,6 +134,20 @@ class TestJsonRoundTrip:
         with pytest.raises(DocumentError, match="two-element"):
             ColoringDocument.from_json_text(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 9, "deleted_edges": [], "red": [[0, 1], [0, 2], [1, 2]], '
+            '"blue": [], "n": 3}',
+            '{"n": 2, "deleted_edges": [], "red": [[0, 1]], "blue": [], "n": 2}',
+        ],
+        ids=["last-one-good", "same-value"],
+    )
+    def test_rejects_repeated_key(self, text):
+        # json.loads alone keeps the last value of a repeated key
+        with pytest.raises(DocumentError, match="^duplicate key 'n'$"):
+            ColoringDocument.from_json_text(text)
+
     def test_rejects_non_list_field(self):
         text = '{"n": 3, "deleted_edges": {}, "red": [], "blue": []}'
         with pytest.raises(DocumentError, match="must be a list"):
@@ -125,9 +161,9 @@ class TestColoringRoundTrip:
 
     def test_with_deleted_edges(self):
         coloring = make_coloring(6, {(1, 2), (2, 3)}, deleted=((0, 5),))
-        doc = ColoringDocument.from_coloring(coloring)
-        assert doc.deleted_edges == ((0, 5),)
-        restored = doc.to_coloring()
+        text = ColoringDocument.from_coloring(coloring).to_json_text()
+        assert json.loads(text)["deleted_edges"] == [[0, 5]]
+        restored = ColoringDocument.from_json_text(text).to_coloring()
         assert restored == coloring
         assert restored.assignment[(1, 2)] is Color.RED
 
@@ -164,3 +200,97 @@ class TestDot:
         ).to_dot()
         assert dot.count("[color=red]") == 3
         assert dot.count("[color=blue]") == 0
+
+
+# K_4 minus 0-3, as from_coloring writes it
+VALID = {
+    "n": 4,
+    "deleted_edges": [[0, 3]],
+    "red": [[0, 1], [1, 2]],
+    "blue": [[0, 2], [1, 3], [2, 3]],
+}
+BAD_VALUES = [
+    None, True, False, 1.5, "1", [], {}, [0], [0, 1, 2], -1, 10**30,
+    [0, 4], [3, 0], [1, 1], [-1, 2], [0, 10**30], [None, 1], [0, "1"],
+]
+
+
+def single_faults(valid):
+    """Every document that differs from `valid` in one value, one pair, or
+    one slot of a pair."""
+    for key in valid:
+        for bad in BAD_VALUES:
+            yield {**valid, key: bad}
+        if key == "n":
+            continue
+        for i, pair in enumerate(valid[key]):
+            for bad in BAD_VALUES:
+                yield {**valid, key: valid[key][:i] + [bad] + valid[key][i + 1:]}
+            for j in range(2):
+                for bad in BAD_VALUES:
+                    faulty = list(pair)
+                    faulty[j] = bad
+                    yield {**valid, key: valid[key][:i] + [faulty] + valid[key][i + 1:]}
+
+
+def canonical_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestMutations:
+    def test_valid_document_is_what_from_coloring_writes(self):
+        coloring = make_coloring(4, {(0, 1), (1, 2)}, deleted=((0, 3),))
+        text = ColoringDocument.from_coloring(coloring).to_json_text()
+        assert text == canonical_text(VALID)
+
+    def test_every_single_fault_is_refused_or_round_trips(self):
+        faults = list(single_faults(VALID))
+        assert len(faults) == 22 * len(BAD_VALUES)  # 4 values, 6 pairs, 12 slots
+        for payload in faults:
+            text = canonical_text(payload)
+            try:
+                doc = ColoringDocument.from_json_text(text)
+            except DocumentError:
+                continue
+            assert doc.to_json_text() == text, payload
+
+
+def colorings_with_a_deleted_edge():
+    for coloring in every_coloring(4):
+        for gone in coloring.graph.present_edges():
+            yield EdgeColoring(
+                DeletedEdgeGraph(4, (gone,)),
+                {e: c for e, c in coloring.assignment.items() if e != gone},
+            )
+    yield make_coloring(6, {(1, 2), (2, 3)}, deleted=((0, 5), (1, 4), (2, 5)))
+
+
+def dot_edges(dot: str) -> dict[tuple[int, int], str]:
+    edges = {}
+    for line in dot.splitlines():
+        if " -- " in line:
+            u, rest = line.strip().split(" -- ")
+            v, color = rest.split(" [color=")
+            edges[(int(u), int(v))] = color.rstrip("];")
+    return edges
+
+
+class TestEveryColoring:
+    @pytest.mark.parametrize("n", range(5))
+    def test_every_coloring_of_k_n_round_trips(self, n):
+        for coloring in every_coloring(n):
+            text = ColoringDocument.from_coloring(coloring).to_json_text()
+            assert ColoringDocument.from_json_text(text).to_coloring() == coloring
+
+    def test_colorings_with_deleted_edges_round_trip(self):
+        for coloring in colorings_with_a_deleted_edge():
+            text = ColoringDocument.from_coloring(coloring).to_json_text()
+            assert ColoringDocument.from_json_text(text).to_coloring() == coloring
+
+    def test_dot_lists_exactly_the_present_edges(self):
+        for coloring in [*every_coloring(4), *colorings_with_a_deleted_edge()]:
+            dot = ColoringDocument.from_coloring(coloring).to_dot()
+            assert dot_edges(dot) == {
+                e: c.value for e, c in coloring.assignment.items()
+            }
+            assert list(dot_edges(dot)) == coloring.graph.present_edges()

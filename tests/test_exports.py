@@ -32,6 +32,18 @@ def test_subset_is_clique_stays_a_graphs_global():
     assert not hasattr(ramsat, "subset_is_clique")
 
 
+def test_document_methods_stay_in_the_class_dict():
+    # the benchmark's layer tracer wraps each of these by name in
+    # ColoringDocument.__dict__, unwrapping the two classmethods
+    methods = vars(ramsat.ColoringDocument)
+    for name in ("from_json_text", "to_coloring", "from_coloring", "to_json_text", "to_dot"):
+        assert name in methods, name
+    for name in ("from_json_text", "from_coloring"):
+        assert isinstance(methods[name], classmethod), name
+    for name in ("to_coloring", "to_json_text", "to_dot"):
+        assert callable(methods[name]), name
+
+
 def test_a_search_past_its_cap_is_an_answer_not_an_error():
     # ramsey_number and min_deletions return None past the cap; only
     # BudgetExceededError means "no answer"

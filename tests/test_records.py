@@ -16,7 +16,6 @@ from ramsat import (
     ColoringDocument,
     Decision,
     DeletedEdgeGraph,
-    DocumentError,
     EdgeColoring,
     RamseyResult,
     SolveResult,
@@ -91,10 +90,6 @@ BAD_FIELDS = [
      r"deleted edge \(0,4\) has an endpoint outside K_4"),
     (DeletedEdgeGraph(4, ((0, 1),)), "p", -1, ValueError,
      "vertex count must be non-negative"),
-    (ColoringDocument.from_coloring(make_coloring(3, set())), "red", ((1, 0),),
-     DocumentError, r"red contains non-canonical or out-of-range pair \[1, 0\]"),
-    (ColoringDocument.from_coloring(make_coloring(3, set())), "n", True,
-     DocumentError, "n must be an integer"),
 ]
 
 
