@@ -21,7 +21,6 @@ from .errors import (
 )
 from .graphs import DeletedEdgeGraph, Edge, edge, edge_count
 from .search import (
-    DEFAULT_MAX_N,
     Decision,
     RamseyResult,
     decide,
@@ -39,7 +38,6 @@ __all__ = [
     "Color",
     "ColoringDocument",
     "DEFAULT_DECISION_BUDGET",
-    "DEFAULT_MAX_N",
     "Decision",
     "DeletedEdgeGraph",
     "DocumentError",

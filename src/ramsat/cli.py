@@ -4,7 +4,7 @@ Exit codes form a stable contract:
   0  success (SAT / good / value computed)
   1  UNSAT or bad coloring
   2  usage error or malformed input
-  3  search bound exhausted (not found within --max-n / --max-k)
+  3  search bound exhausted (not found within --max-k)
   4  decision budget exceeded
   130  interrupted (Ctrl-C)
 
@@ -26,13 +26,7 @@ from .document import ColoringDocument
 from .dpll import DEFAULT_DECISION_BUDGET, SolveStatus
 from .errors import BudgetExceededError, DocumentError
 from .graphs import DeletedEdgeGraph, Edge, edge
-from .search import (
-    DEFAULT_MAX_N,
-    decide,
-    extend_coloring,
-    min_deletions,
-    ramsey_number,
-)
+from .search import decide, extend_coloring, min_deletions, ramsey_number
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -87,8 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_number.add_argument("-s", type=_positive_int, required=True)
     p_number.add_argument("-t", type=_positive_int, required=True)
-    p_number.add_argument("--max-n", type=_positive_int, default=DEFAULT_MAX_N)
-    p_number.add_argument("--budget", type=_positive_int, default=DEFAULT_DECISION_BUDGET)
+    p_number.add_argument(
+        "--budget",
+        type=_positive_int,
+        default=DEFAULT_DECISION_BUDGET,
+        help="decisions for the whole walk, all n together",
+    )
     p_number.add_argument(
         "--witness", metavar="PATH", help="write the good coloring of K_{p-1} as JSON"
     )
@@ -178,10 +176,7 @@ def _bad_line(verdict: Verdict) -> str:
 
 
 def cmd_number(args: argparse.Namespace) -> int:
-    result = ramsey_number(args.s, args.t, args.max_n, budget=args.budget)
-    if result is None:
-        print(f"r({args.s},{args.t}) > {args.max_n}")
-        return EXIT_EXHAUSTED
+    result = ramsey_number(args.s, args.t, budget=args.budget)
     if args.witness:
         _write_coloring(args.witness, result.witness)
     print(f"r({args.s},{args.t}) = {result.p}")

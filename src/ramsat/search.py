@@ -2,12 +2,12 @@
 
 r(s,t) is the least p such that K_p has no good coloring for (s,t).  The
 search here simply walks p = 0, 1, ... and asks the solver; it is meant
-for the small classical numbers, so its default ceiling is n_max = 14.
+for the small classical numbers, and one decision budget bounds the walk.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice, pairwise
+from itertools import chain, count, islice
 from typing import NamedTuple, Optional
 
 from .cnf import CnfFormula, decode, encode, symmetry_break
@@ -23,8 +23,6 @@ from .graphs import (
     edge_count,
 )
 
-DEFAULT_MAX_N = 14
-
 
 class RamseyResult(NamedTuple):
     """r(s,t) = p, with a good coloring of K_{p-1}: for p = 1, K_0's empty one."""
@@ -35,12 +33,13 @@ class RamseyResult(NamedTuple):
 
 class Decision(NamedTuple):
     """One decided instance: the solver's status, the instance's encoding
-    (without the symmetry-breaking clauses), and, only when SAT, the
-    coloring after re-verification."""
+    (without the symmetry-breaking clauses), only when SAT the coloring
+    after re-verification, and the solver's decision count."""
 
     status: SolveStatus
     formula: CnfFormula
     coloring: Optional[EdgeColoring]
+    decisions: int
 
 
 def decide(
@@ -64,14 +63,14 @@ def decide(
     formula = encode(graph, s, t)
     result = solve(symmetry_break(graph, formula), budget)
     if result.status is not SolveStatus.SAT:
-        return Decision(result.status, formula, None)
+        return Decision(result.status, formula, None, result.decisions)
     coloring = decode(result.model, graph)
     verdict = is_good(coloring, s, t)
     if not verdict.good:
         raise TheoremViolationError(
             f"solver model for K_{graph.p} decoded to a bad coloring: {verdict.witness}"
         )
-    return Decision(result.status, formula, coloring)
+    return Decision(result.status, formula, coloring, result.decisions)
 
 
 def good_coloring(
@@ -95,27 +94,27 @@ def good_coloring(
 
 
 def ramsey_number(
-    s: int,
-    t: int,
-    n_max: int = DEFAULT_MAX_N,
-    *,
-    budget: int = DEFAULT_DECISION_BUDGET,
-) -> Optional[RamseyResult]:
-    """Walk n = 0, 1, ..., n_max until K_n has no good coloring.
+    s: int, t: int, *, budget: int = DEFAULT_DECISION_BUDGET
+) -> RamseyResult:
+    """Walk n = 0, 1, ... until K_n has no good coloring, which ends at
+    r(s,t) because r(s,t) is finite.
 
-    The witness is the good coloring found at p - 1.  K_0, with no edges,
-    always has one, so every witness comes from `decide`.
-    Returns None if every n up to n_max still has a good coloring, that
-    is r(s,t) > n_max, and lets the solver's BudgetExceededError (which
-    names n) propagate.
+    The walk's solves share one budget of decisions.  When it runs out at
+    K_n, BudgetExceededError names n and the bound already proven,
+    r(s,t) > n-1.  The witness is the good coloring found at p - 1.  K_0,
+    with no edges, always has one, so every witness comes from `decide`.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    colorings = (good_coloring(n, s, t, budget=budget) for n in range(n_max + 1))
-    for n, (witness, coloring) in enumerate(pairwise(colorings), start=1):
-        if coloring is None:
+    spent, witness = 0, None
+    for n in count():
+        decision = decide(DeletedEdgeGraph(n), s, t, budget=budget - spent)
+        if decision.status is SolveStatus.BUDGET_EXCEEDED:
+            raise BudgetExceededError(
+                f"budget of {budget} decisions exceeded at n = {n}; r({s},{t}) > {n - 1}"
+            )
+        if decision.coloring is None:
             return RamseyResult(n, witness)
-    return None
+        spent += decision.decisions
+        witness = decision.coloring
 
 
 def extend_coloring(coloring: EdgeColoring, vertex: int) -> EdgeColoring:
@@ -177,6 +176,8 @@ def min_deletions(
     if not 0 <= k_max <= m:
         raise ValueError(f"k_max must be between 0 and {m}")
     check_size(p, s, t)
+    if p and min(s, t) == 1:
+        return None  # any vertex is a monochromatic K_1, whatever is deleted
     for deleted in chain.from_iterable(islice(deletion_classes(p), k_max + 1)):
         coloring = good_coloring(p, s, t, deleted, budget=budget)
         if coloring is not None:

@@ -79,9 +79,16 @@ class TestNumber:
         assert main(["verify", str(witness), "-s", "1", "-t", "3"]) == 0
         assert capsys.readouterr().out == "GOOD\n"
 
-    def test_max_n_exhausted(self, capsys):
-        assert main(["number", "-s", "3", "-t", "3", "--max-n", "5"]) == 3
-        assert capsys.readouterr().out == "r(3,3) > 5\n"
+    def test_max_n_refused(self, capsys):
+        # the walk ends at r(s,t) or when the budget runs out: no ceiling
+        with pytest.raises(SystemExit) as excinfo:
+            main(["number", "-s", "3", "-t", "3", "--max-n", "5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --max-n 5" in capsys.readouterr().err
+
+    def test_r36_with_no_flags(self, capsys):
+        assert main(["number", "-s", "3", "-t", "6"]) == 0
+        assert capsys.readouterr().out == "r(3,6) = 18\n"
 
     def test_failed_witness_write_prints_nothing(self, tmp_path, capsys):
         witness = tmp_path / "missing" / "witness.json"
@@ -91,11 +98,16 @@ class TestNumber:
         assert captured.err.startswith("error: ")
 
     def test_budget_exceeded(self, capsys):
-        # budget 1 survives K_2 (one branch) but not K_3
+        # K_2 spends the one decision, so the walk stops at K_3
         assert main(["number", "-s", "3", "-t", "3", "--budget", "1"]) == 4
         assert capsys.readouterr().out == (
-            "BUDGET EXCEEDED: budget of 1 decisions exceeded at n = 3\n"
+            "BUDGET EXCEEDED: budget of 1 decisions exceeded at n = 3; r(3,3) > 2\n"
         )
+
+    def test_budget_runs_out_with_the_proven_bound(self, capsys):
+        # the walk to r(3,5) = 14 makes 786 decisions in all
+        assert main(["number", "-s", "3", "-t", "5", "--budget", "785"]) == 4
+        assert capsys.readouterr().out.endswith("at n = 14; r(3,5) > 13\n")
 
     def test_interrupt_exits_130_without_traceback(self, monkeypatch, capsys):
         def interrupted(*args, **kwargs):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ramsat
+import ramsat.cli
 import ramsat.coloring
 import ramsat.errors
 import ramsat.graphs
@@ -45,8 +46,8 @@ def test_document_methods_stay_in_the_class_dict():
 
 
 def test_a_search_past_its_cap_is_an_answer_not_an_error():
-    # ramsey_number and min_deletions return None past the cap; only
-    # BudgetExceededError means "no answer"
+    # min_deletions returns None past its cap; only BudgetExceededError
+    # means "no answer"
     assert "SearchExhaustedError" not in ramsat.__all__
     assert not hasattr(ramsat, "SearchExhaustedError")
     assert not hasattr(ramsat.errors, "SearchExhaustedError")
@@ -59,3 +60,25 @@ def test_edge_facts_have_one_source():
     assert "DeletionResult" not in ramsat.__all__
     assert not hasattr(ramsat, "DeletionResult")
     assert not hasattr(ramsat.search, "DeletionResult")
+
+
+def test_the_ramsey_walk_has_no_ceiling():
+    # ramsey_number ends at r(s,t) or when its one budget runs out
+    for module in (ramsat, ramsat.search, ramsat.cli):
+        assert not hasattr(module, "DEFAULT_MAX_N"), module.__name__
+    assert "DEFAULT_MAX_N" not in ramsat.__all__
+
+
+def test_min_deletions_solves_each_class_through_good_coloring(monkeypatch):
+    # the benchmark's layer tracer counts these calls as search.candidates:
+    # K_6 at (3,3) solves the empty set, then the one class of one edge
+    calls = []
+    good_coloring = ramsat.search.good_coloring
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return good_coloring(*args, **kwargs)
+
+    monkeypatch.setattr(ramsat.search, "good_coloring", counted)
+    assert len(ramsat.search.min_deletions(3, 3, 6, 5).graph.deleted) == 1
+    assert len(calls) == 2

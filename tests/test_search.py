@@ -9,6 +9,7 @@ from itertools import combinations, islice, product
 import pytest
 
 import ramsat.graphs
+import ramsat.search
 from ramsat import (
     BudgetExceededError,
     Color,
@@ -134,9 +135,37 @@ class TestRamseyNumber:
         assert is_good(witness, 3, 4).good
         assert good_coloring(8, 3, 4) is not None
 
-    def test_exhausted_search(self):
-        # every K_n up to the cap has a good coloring: r(3,3) > 4
-        assert ramsey_number(3, 3, 4) is None
+    def test_budget_exhausted_names_the_proven_bound(self):
+        # the walk to r(3,5) = 14 makes 786 decisions in all
+        assert ramsey_number(3, 5, budget=786).p == 14
+        with pytest.raises(BudgetExceededError) as excinfo:
+            ramsey_number(3, 5, budget=785)
+        assert str(excinfo.value) == (
+            "budget of 785 decisions exceeded at n = 14; r(3,5) > 13"
+        )
+
+    @pytest.mark.parametrize("budget", [1, 50, 785, 786, 10_000])
+    def test_one_budget_for_the_whole_walk(self, monkeypatch, budget):
+        # the SAT and UNSAT solves together stay within the one budget
+        decided = []
+        solve = ramsat.search.solve
+
+        def counted(formula, budget):
+            result = solve(formula, budget)
+            if result.status is not SolveStatus.BUDGET_EXCEEDED:
+                decided.append(result.decisions)
+            return result
+
+        monkeypatch.setattr(ramsat.search, "solve", counted)
+        try:
+            ramsey_number(3, 5, budget=budget)
+        except BudgetExceededError:
+            pass
+        assert sum(decided) <= budget
+
+    def test_no_ceiling_below_r(self):
+        # the walk ends at r(s,t) itself, past the old cap of 14
+        assert ramsey_number(2, 16).p == 16
 
     def test_budget_propagates_with_n(self):
         # K_1 solves with zero decisions; K_2 needs its first branch
@@ -299,6 +328,15 @@ class TestMinDeletions:
     def test_small_p_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             min_deletions(3, 3, -1, 0)
+
+    @pytest.mark.parametrize("s, t, p", [(1, 3, 9), (3, 1, 10), (1, 1, 1)])
+    def test_one_clique_size_needs_no_class(self, nothing_built, s, t, p):
+        # any vertex is a monochromatic K_1, whatever is deleted: e > k_max
+        assert min_deletions(s, t, p, p - 1) is None
+
+    def test_one_clique_size_on_k0(self):
+        # K_0 has no vertex, so it is good at any sizes: e = 0
+        assert min_deletions(1, 3, 0, 0) == EdgeColoring(DeletedEdgeGraph(0), {})
 
     def test_one_vertex(self):
         # K_1 has no edge: good when neither size is 1, else no deletion helps
