@@ -5,7 +5,7 @@ Exit codes form a stable contract:
   1  UNSAT or bad coloring
   2  usage error or malformed input
   3  search bound exhausted (not found within --max-k)
-  4  decision budget exceeded
+  4  decision budget exceeded (for number, also the size limit reached)
   130  interrupted (Ctrl-C)
 
 Primary results go to stdout; errors and diagnostics go to stderr.
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_positive_int,
         default=DEFAULT_DECISION_BUDGET,
-        help="decisions for the whole walk, all n together",
+        help="decisions for the whole walk, at least one per n",
     )
     p_number.add_argument(
         "--witness", metavar="PATH", help="write the good coloring of K_{p-1} as JSON"

@@ -6,7 +6,7 @@ class RamsatError(Exception):
 
 
 class BudgetExceededError(RamsatError):
-    """A search gave up because it hit its decision budget.
+    """A search gave up at its decision budget or at the size limit.
 
     Deliberately distinct from an UNSAT/not-found outcome: the question
     was not answered.

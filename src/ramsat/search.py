@@ -96,25 +96,29 @@ def good_coloring(
 def ramsey_number(
     s: int, t: int, *, budget: int = DEFAULT_DECISION_BUDGET
 ) -> RamseyResult:
-    """Walk n = 0, 1, ... until K_n has no good coloring, which ends at
-    r(s,t) because r(s,t) is finite.
+    """Walk n = 0, 1, ... until K_n has no good coloring: r(s,t) is finite.
 
-    The walk's solves share one budget of decisions.  When it runs out at
-    K_n, BudgetExceededError names n and the bound already proven,
-    r(s,t) > n-1.  The witness is the good coloring found at p - 1.  K_0,
+    All solves share one budget of decisions, each K_n costing at least
+    one.  When it runs out at K_n, or `check_size` refuses K_n, the walk
+    raises BudgetExceededError with the reason and the proven bound
+    r(s,t) > n-1.  The witness is the good coloring found at p - 1; K_0,
     with no edges, always has one, so every witness comes from `decide`.
     """
     spent, witness = 0, None
     for n in count():
         decision = decide(DeletedEdgeGraph(n), s, t, budget=budget - spent)
-        if decision.status is SolveStatus.BUDGET_EXCEEDED:
+        spent += max(1, decision.decisions)  # past the budget if the solver ran out
+        if spent > budget:
             raise BudgetExceededError(
                 f"budget of {budget} decisions exceeded at n = {n}; r({s},{t}) > {n - 1}"
             )
         if decision.coloring is None:
             return RamseyResult(n, witness)
-        spent += decision.decisions
         witness = decision.coloring
+        try:
+            check_size(n + 1, s, t)
+        except ValueError as refusal:
+            raise BudgetExceededError(f"{refusal}; r({s},{t}) > {n}") from None
 
 
 def extend_coloring(coloring: EdgeColoring, vertex: int) -> EdgeColoring:

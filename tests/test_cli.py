@@ -98,16 +98,19 @@ class TestNumber:
         assert captured.err.startswith("error: ")
 
     def test_budget_exceeded(self, capsys):
-        # K_2 spends the one decision, so the walk stops at K_3
+        # K_0 costs the one decision, so the walk stops at K_1
         assert main(["number", "-s", "3", "-t", "3", "--budget", "1"]) == 4
         assert capsys.readouterr().out == (
-            "BUDGET EXCEEDED: budget of 1 decisions exceeded at n = 3; r(3,3) > 2\n"
+            "BUDGET EXCEEDED: budget of 1 decisions exceeded at n = 1; r(3,3) > 0\n"
         )
 
-    def test_budget_runs_out_with_the_proven_bound(self, capsys):
-        # the walk to r(3,5) = 14 makes 786 decisions in all
-        assert main(["number", "-s", "3", "-t", "5", "--budget", "785"]) == 4
-        assert capsys.readouterr().out.endswith("at n = 14; r(3,5) > 13\n")
+    def test_size_limit_ends_the_walk_with_the_proven_bound(self, capsys):
+        # every K_n up to 42 is colorable at (40,40); K_43 is too big to encode
+        assert main(["number", "-s", "40", "-t", "40"]) == 4
+        assert capsys.readouterr().out == (
+            "BUDGET EXCEEDED: K_43 at (40,40) needs up to 19,252,863 edges and edge "
+            "reads, over the limit of 10,000,000; r(40,40) > 42\n"
+        )
 
     def test_interrupt_exits_130_without_traceback(self, monkeypatch, capsys):
         def interrupted(*args, **kwargs):

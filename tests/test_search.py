@@ -136,15 +136,16 @@ class TestRamseyNumber:
         assert good_coloring(8, 3, 4) is not None
 
     def test_budget_exhausted_names_the_proven_bound(self):
-        # the walk to r(3,5) = 14 makes 786 decisions in all
-        assert ramsey_number(3, 5, budget=786).p == 14
+        # the walk to r(3,5) = 14 costs 788: its decisions, and one for each
+        # K_n that the solver settles without a branch
+        assert ramsey_number(3, 5, budget=788).p == 14
         with pytest.raises(BudgetExceededError) as excinfo:
-            ramsey_number(3, 5, budget=785)
+            ramsey_number(3, 5, budget=787)
         assert str(excinfo.value) == (
-            "budget of 785 decisions exceeded at n = 14; r(3,5) > 13"
+            "budget of 787 decisions exceeded at n = 14; r(3,5) > 13"
         )
 
-    @pytest.mark.parametrize("budget", [1, 50, 785, 786, 10_000])
+    @pytest.mark.parametrize("budget", [1, 50, 787, 788, 10_000])
     def test_one_budget_for_the_whole_walk(self, monkeypatch, budget):
         # the SAT and UNSAT solves together stay within the one budget
         decided = []
@@ -167,10 +168,21 @@ class TestRamseyNumber:
         # the walk ends at r(s,t) itself, past the old cap of 14
         assert ramsey_number(2, 16).p == 16
 
+    def test_budget_bounds_a_walk_without_branches(self, monkeypatch):
+        # at s = 2 unit propagation settles every K_n, yet each costs one
+        solved = []
+        solve = ramsat.search.solve
+        monkeypatch.setattr(
+            ramsat.search, "solve", lambda *args: solved.append(1) or solve(*args)
+        )
+        with pytest.raises(BudgetExceededError, match=r"n = 20; r\(2,1400\) > 19$"):
+            ramsey_number(2, 1400, budget=20)
+        assert len(solved) == 21
+
     def test_budget_propagates_with_n(self):
-        # K_1 solves with zero decisions; K_2 needs its first branch
+        # K_0 and K_1 cost one each without a branch; K_2 needs its first
         with pytest.raises(BudgetExceededError, match="n = 2"):
-            ramsey_number(3, 3, budget=0)
+            ramsey_number(3, 3, budget=2)
 
     def test_invalid_query(self):
         with pytest.raises(ValueError):
