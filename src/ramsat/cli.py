@@ -20,13 +20,14 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import search
 from .cnf import export_dimacs
 from .coloring import EdgeColoring, Verdict, is_good
 from .document import ColoringDocument
 from .dpll import DEFAULT_DECISION_BUDGET, SolveStatus
 from .errors import BudgetExceededError, DocumentError
 from .graphs import DeletedEdgeGraph, Edge, edge
-from .search import decide, extend_coloring, min_deletions, ramsey_number
+from .search import budget_exceeded, extend_coloring, min_deletions, ramsey_number
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -185,12 +186,11 @@ def cmd_number(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     graph = DeletedEdgeGraph(args.n, tuple(args.delete))
-    decision = decide(graph, args.s, args.t, budget=args.budget)
+    decision = search.decide(graph, args.s, args.t, budget=args.budget)
     if args.dimacs:
         _write(args.dimacs, export_dimacs(decision.formula, graph))
     if decision.status is SolveStatus.BUDGET_EXCEEDED:
-        print("BUDGET EXCEEDED")
-        return EXIT_BUDGET
+        raise budget_exceeded(args.budget, args.n)
     if decision.status is SolveStatus.UNSAT:
         print("UNSAT")
         return EXIT_NEGATIVE
@@ -238,8 +238,7 @@ def cmd_min_deletions(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    document = _load_document(args.json_path)
-    _write(args.out, document.to_dot())
+    _write(args.out, _load_document(args.json_path).to_dot())
     return EXIT_OK
 
 

@@ -41,7 +41,7 @@ def solve(formula: CnfFormula, budget: int = DEFAULT_DECISION_BUDGET) -> SolveRe
     """Decide the formula, counting every branch assignment as a decision.
 
     Both phases of a branch variable count (the flip after a conflict is a
-    decision too).  Once the count passes `budget` the search stops with
+    decision too).  The search stops before a decision past `budget`, with
     BUDGET_EXCEEDED, which is an "I don't know", never an UNSAT.
     """
     n = formula.num_vars
@@ -129,9 +129,9 @@ def solve(formula: CnfFormula, budget: int = DEFAULT_DECISION_BUDGET) -> SolveRe
                 val[undone ^ 1] = 0
             qhead = height
             code, flipped = code ^ 1, True
-        decisions += 1
-        if decisions > budget:
+        if decisions >= budget:
             return SolveResult(SolveStatus.BUDGET_EXCEEDED, None, decisions)
+        decisions += 1
         stack.append((height, code, flipped))
         assign(code)
         # variables below the decision variable are all still assigned

@@ -73,6 +73,11 @@ def decide(
     return Decision(result.status, formula, coloring, result.decisions)
 
 
+def budget_exceeded(budget: int, n: int, bound: str = "") -> BudgetExceededError:
+    """The one error for a budget that ran out at K_n, plus any bound proven."""
+    return BudgetExceededError(f"budget of {budget} decisions exceeded at n = {n}{bound}")
+
+
 def good_coloring(
     n: int,
     s: int,
@@ -87,9 +92,7 @@ def good_coloring(
     """
     decision = decide(DeletedEdgeGraph(n, tuple(deleted)), s, t, budget=budget)
     if decision.status is SolveStatus.BUDGET_EXCEEDED:
-        raise BudgetExceededError(
-            f"budget of {budget} decisions exceeded at n = {n}"
-        )
+        raise budget_exceeded(budget, n)
     return decision.coloring
 
 
@@ -107,11 +110,9 @@ def ramsey_number(
     spent, witness = 0, None
     for n in count():
         decision = decide(DeletedEdgeGraph(n), s, t, budget=budget - spent)
-        spent += max(1, decision.decisions)  # past the budget if the solver ran out
-        if spent > budget:
-            raise BudgetExceededError(
-                f"budget of {budget} decisions exceeded at n = {n}; r({s},{t}) > {n - 1}"
-            )
+        spent += max(1, decision.decisions)
+        if decision.status is SolveStatus.BUDGET_EXCEEDED or spent > budget:
+            raise budget_exceeded(budget, n, f"; r({s},{t}) > {n - 1}")
         if decision.coloring is None:
             return RamseyResult(n, witness)
         witness = decision.coloring

@@ -12,7 +12,13 @@ import pytest
 
 import ramsat.cli
 import ramsat.search
-from ramsat import ColoringDocument, TheoremViolationError, is_good
+from ramsat import (
+    BudgetExceededError,
+    ColoringDocument,
+    SolveStatus,
+    TheoremViolationError,
+    is_good,
+)
 from ramsat.cli import main
 from .conftest import C5_RED, make_coloring
 
@@ -195,7 +201,42 @@ class TestSolve:
 
     def test_budget_exceeded(self, capsys):
         assert main(["solve", "-n", "6", "-s", "3", "-t", "3", "--budget", "2"]) == 4
-        assert capsys.readouterr().out == "BUDGET EXCEEDED\n"
+        assert capsys.readouterr().out == (
+            "BUDGET EXCEEDED: budget of 2 decisions exceeded at n = 6\n"
+        )
+
+    def test_budget_exceeded_writes_dimacs_first(self, tmp_path, capsys):
+        dimacs_path = tmp_path / "k6.cnf"
+        argv = ["solve", "-n", "6", "-s", "3", "-t", "3", "--dimacs", str(dimacs_path)]
+        assert main(argv) == 1
+        unsat_dimacs = dimacs_path.read_bytes()
+        dimacs_path.unlink()
+        capsys.readouterr()
+        assert main([*argv, "--budget", "2"]) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "BUDGET EXCEEDED: budget of 2 decisions exceeded at n = 6\n",
+            "",
+        )
+        assert dimacs_path.read_bytes() == unsat_dimacs
+
+    def test_budget_exceeded_decision_raises(self, monkeypatch):
+        # cmd_solve reports a cut solve through BudgetExceededError, whose
+        # one handler in main prints the line
+        decide = ramsat.search.decide
+
+        def cut(graph, s, t, *, budget):
+            return decide(graph, s, t, budget=budget)._replace(
+                status=SolveStatus.BUDGET_EXCEEDED, coloring=None
+            )
+
+        monkeypatch.setattr(ramsat.search, "decide", cut)
+        args = ramsat.cli.build_parser().parse_args(
+            ["solve", "-n", "5", "-s", "3", "-t", "3", "--budget", "7"]
+        )
+        with pytest.raises(BudgetExceededError) as excinfo:
+            ramsat.cli.cmd_solve(args)
+        assert str(excinfo.value) == "budget of 7 decisions exceeded at n = 5"
 
     def test_malformed_edge(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -11,6 +11,7 @@ from ramsat import (
     CnfFormula,
     DeletedEdgeGraph,
     SolveStatus,
+    decide,
     decode,
     encode,
     is_good,
@@ -118,7 +119,7 @@ PINNED_SEARCHES = [
     (14, (), 3, 5, DEFAULT_DECISION_BUDGET, SolveStatus.UNSAT, 416),
     (10, ((0, 1),), 3, 4, DEFAULT_DECISION_BUDGET, SolveStatus.UNSAT, 236),
     (10, ((0, 1), (2, 3)), 3, 4, DEFAULT_DECISION_BUDGET, SolveStatus.SAT, 33),
-    (9, (), 3, 4, 47, SolveStatus.BUDGET_EXCEEDED, 48),
+    (9, (), 3, 4, 47, SolveStatus.BUDGET_EXCEEDED, 47),
 ]
 
 
@@ -171,7 +172,7 @@ class TestBudget:
         result = solve(encode(DeletedEdgeGraph(6), 3, 3), budget=5)
         assert result.status is SolveStatus.BUDGET_EXCEEDED
         assert result.model is None
-        assert result.decisions == 6
+        assert result.decisions == 5
 
     def test_zero_budget_still_propagates(self):
         # decided entirely by unit propagation, no decisions needed
@@ -181,6 +182,15 @@ class TestBudget:
     def test_zero_budget_blocks_first_decision(self):
         result = solve(CnfFormula(1, ()), budget=0)
         assert result.status is SolveStatus.BUDGET_EXCEEDED
+
+    @pytest.mark.parametrize("budget", range(7))
+    def test_never_counts_a_decision_it_did_not_make(self, budget):
+        # the symmetry-broken K_6 at (3,3) is UNSAT after exactly 6 decisions
+        graph = DeletedEdgeGraph(6)
+        result = solve(symmetry_break(graph, encode(graph, 3, 3)), budget)
+        assert result.decisions <= budget
+        assert (result.status is SolveStatus.BUDGET_EXCEEDED) == (budget < 6)
+        assert decide(graph, 3, 3, budget=budget).decisions == result.decisions
 
     def test_exact_budget_suffices(self):
         reference = solve(encode(DeletedEdgeGraph(6), 3, 3))
