@@ -19,11 +19,12 @@ and exits 1 on any mismatch, or 2 if the prefix cannot be started:
     PYTHONPATH=src python3 tests/cli_corpus.py --check "python3 -m ramsat"
 
 To add a command, add a line with `- -` in place of digest and exit code,
-then regenerate.  A new CLI behaviour gets a corpus line, not a shell check
-in CI.  Help text and usage errors are formatted by argparse, whose wording
-differs between Python versions; the header records the version the
-digests were made with, and under another version those entries check
-their exit code only.
+then regenerate.  A CLI output is pinned by a corpus line, not by a shell
+check in CI or a `test_cli.py` case that repeats the same bytes;
+`test_cli.py` keeps only what a digest cannot check.  Help text and usage
+errors are formatted by argparse, whose wording differs between Python
+versions; the header records the version the digests were made with, and
+under another version those entries check their exit code only.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from ramsat import (
 )
 from .oracle import brute_force_good_coloring, every_coloring
 
-CLI = [sys.executable, "-m", "ramsat.cli"]
+CLI = [sys.executable, "-m", "ramsat"]
 
 
 def report(name: str, passed: bool, detail: str = "") -> None:

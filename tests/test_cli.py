@@ -1,4 +1,14 @@
-"""Command-line surface: outputs, artifacts, and the exit-code contract."""
+"""Command-line behaviour that a corpus digest cannot check.
+
+A CLI output is pinned by a line of `cli_corpus.txt`, whose digest covers
+the exit code, stdout, stderr and written files of one run on the corpus
+seeds.  This file holds only what such a digest cannot check: injected
+failures (monkeypatched functions, KeyboardInterrupt, a decode that breaks
+the theorem), writes that fail, size guards that must refuse before they
+build or walk anything, argparse wording on every Python version (the
+corpus checks only the exit code of argparse's output outside the version
+its digests were made with), and properties that span commands.
+"""
 
 from __future__ import annotations
 
@@ -17,24 +27,9 @@ from ramsat import (
     ColoringDocument,
     SolveStatus,
     TheoremViolationError,
-    is_good,
 )
 from ramsat.cli import main
-from .conftest import C5_RED, make_coloring
-
-
-def write_c5(tmp_path, name="c5.json"):
-    path = tmp_path / name
-    doc = ColoringDocument.from_coloring(make_coloring(5, C5_RED))
-    path.write_text(doc.to_json_text(), encoding="utf-8")
-    return path
-
-
-def write_red_k3(tmp_path):
-    path = tmp_path / "k3.json"
-    doc = ColoringDocument.from_coloring(make_coloring(3, {(0, 1), (0, 2), (1, 2)}))
-    path.write_text(doc.to_json_text(), encoding="utf-8")
-    return path
+from .conftest import make_coloring
 
 
 def write_blue_k30(tmp_path):
@@ -57,25 +52,6 @@ def test_python_dash_m_ramsat_runs_the_cli():
 
 
 class TestNumber:
-    def test_r33(self, capsys):
-        assert main(["number", "-s", "3", "-t", "3"]) == 0
-        assert capsys.readouterr().out == "r(3,3) = 6\n"
-
-    def test_r25(self, capsys):
-        assert main(["number", "-s", "2", "-t", "5"]) == 0
-        assert capsys.readouterr().out == "r(2,5) = 5\n"
-
-    def test_r35_within_the_default_budget(self, capsys):
-        assert main(["number", "-s", "3", "-t", "5"]) == 0
-        assert capsys.readouterr().out == "r(3,5) = 14\n"
-
-    def test_witness_written_and_good(self, tmp_path, capsys):
-        witness = tmp_path / "witness.json"
-        assert main(["number", "-s", "3", "-t", "3", "--witness", str(witness)]) == 0
-        doc = ColoringDocument.from_json_text(witness.read_text(encoding="utf-8"))
-        assert doc.coloring.graph.p == 5
-        assert is_good(doc.to_coloring(), 3, 3).good
-
     def test_witness_file_for_r1_holds_k0(self, tmp_path, capsys):
         witness = tmp_path / "witness.json"
         assert main(["number", "-s", "1", "-t", "3", "--witness", str(witness)]) == 0
@@ -103,13 +79,6 @@ class TestNumber:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
-    def test_budget_exceeded(self, capsys):
-        # K_0 costs the one decision, so the walk stops at K_1
-        assert main(["number", "-s", "3", "-t", "3", "--budget", "1"]) == 4
-        assert capsys.readouterr().out == (
-            "BUDGET EXCEEDED: budget of 1 decisions exceeded at n = 1; r(3,3) > 0\n"
-        )
-
     def test_size_limit_ends_the_walk_with_the_proven_bound(self, capsys):
         # every K_n up to 42 is colorable at (40,40); K_43 is too big to encode
         assert main(["number", "-s", "40", "-t", "40"]) == 4
@@ -127,11 +96,6 @@ class TestNumber:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "interrupted\n")
 
-    def test_rejects_zero_s(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["number", "-s", "0", "-t", "3"])
-        assert excinfo.value.code == 2
-
     def test_non_integer_gets_the_non_positive_message(self, capsys):
         for text in ["0", "x"]:
             with pytest.raises(SystemExit) as excinfo:
@@ -143,43 +107,6 @@ class TestNumber:
 
 
 class TestSolve:
-    def test_k6_unsat(self, capsys):
-        assert main(["solve", "-n", "6", "-s", "3", "-t", "3"]) == 1
-        assert capsys.readouterr().out == "UNSAT\n"
-
-    def test_k5_sat(self, capsys):
-        assert main(["solve", "-n", "5", "-s", "3", "-t", "3"]) == 0
-        assert capsys.readouterr().out == "SAT\n"
-
-    def test_deleted_edge_sat_with_artifacts(self, tmp_path, capsys):
-        coloring_path = tmp_path / "coloring.json"
-        dimacs_path = tmp_path / "formula.cnf"
-        code = main(
-            [
-                "solve", "-n", "6", "-s", "3", "-t", "3",
-                "--delete", "0-5",
-                "--json", str(coloring_path),
-                "--dimacs", str(dimacs_path),
-            ]
-        )
-        assert code == 0
-        doc = ColoringDocument.from_json_text(coloring_path.read_text(encoding="utf-8"))
-        assert doc.coloring.graph.deleted == ((0, 5),)
-        assert is_good(doc.to_coloring(), 3, 3).good
-        lines = dimacs_path.read_text(encoding="utf-8").splitlines()
-        assert "p cnf 14 32" in lines
-
-    def test_oversized_instance_refused(self, tmp_path, capsys):
-        # about 2.7 billion clauses: refused before any is built
-        dimacs_path = tmp_path / "huge.cnf"
-        assert main(
-            ["solve", "-n", "2000", "-s", "3", "-t", "3", "--dimacs", str(dimacs_path)]
-        ) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "over the limit" in captured.err
-        assert not dimacs_path.exists()
-
     def test_failed_json_write_prints_nothing(self, tmp_path, capsys):
         json_path = tmp_path / "missing" / "x.json"
         assert main(
@@ -188,22 +115,6 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
-
-    def test_delete_accepts_reversed_endpoints(self, capsys):
-        assert main(["solve", "-n", "6", "-s", "3", "-t", "3", "--delete", "5-0"]) == 0
-
-    def test_dimacs_written_even_when_unsat(self, tmp_path, capsys):
-        dimacs_path = tmp_path / "k6.cnf"
-        assert main(
-            ["solve", "-n", "6", "-s", "3", "-t", "3", "--dimacs", str(dimacs_path)]
-        ) == 1
-        assert "p cnf 15 40" in dimacs_path.read_text(encoding="utf-8")
-
-    def test_budget_exceeded(self, capsys):
-        assert main(["solve", "-n", "6", "-s", "3", "-t", "3", "--budget", "2"]) == 4
-        assert capsys.readouterr().out == (
-            "BUDGET EXCEEDED: budget of 2 decisions exceeded at n = 6\n"
-        )
 
     def test_budget_exceeded_writes_dimacs_first(self, tmp_path, capsys):
         dimacs_path = tmp_path / "k6.cnf"
@@ -238,16 +149,6 @@ class TestSolve:
             ramsat.cli.cmd_solve(args)
         assert str(excinfo.value) == "budget of 7 decisions exceeded at n = 5"
 
-    def test_malformed_edge(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["solve", "-n", "6", "-s", "3", "-t", "3", "--delete", "0:5"])
-        assert excinfo.value.code == 2
-
-    def test_loop_edge(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["solve", "-n", "6", "-s", "3", "-t", "3", "--delete", "3-3"])
-        assert excinfo.value.code == 2
-
     def test_long_vertex_is_not_a_loop(self, capsys):
         # past int()'s digit limit the edge is malformed; on a Python
         # without that limit the vertex lies outside K_6
@@ -261,10 +162,6 @@ class TestSolve:
         assert "loop edge" not in err
         assert "expected an edge like 0-5, got '111" in err or "outside K_6" in err
 
-    def test_edge_outside_graph(self, capsys):
-        assert main(["solve", "-n", "6", "-s", "3", "-t", "3", "--delete", "0-9"]) == 2
-        assert "error:" in capsys.readouterr().err
-
     def test_json_never_written_unverified(self, tmp_path, monkeypatch):
         all_red = make_coloring(5, set(combinations(range(5), 2)))
         monkeypatch.setattr(ramsat.search, "decode", lambda model, graph: all_red)
@@ -275,31 +172,12 @@ class TestSolve:
 
 
 class TestVerify:
-    def test_good(self, tmp_path, capsys):
-        path = write_c5(tmp_path)
-        assert main(["verify", str(path), "-s", "3", "-t", "3"]) == 0
-        assert capsys.readouterr().out == "GOOD\n"
-
-    def test_bad_with_witness_line(self, tmp_path, capsys):
-        path = write_red_k3(tmp_path)
-        assert main(["verify", str(path), "-s", "3", "-t", "3"]) == 1
-        assert capsys.readouterr().out == "BAD: red K_3 on {0,1,2}\n"
-
     def test_blue_witness(self, tmp_path, capsys):
         path = tmp_path / "blue.json"
         doc = ColoringDocument.from_coloring(make_coloring(3, set()))
         path.write_text(doc.to_json_text(), encoding="utf-8")
         assert main(["verify", str(path), "-s", "3", "-t", "3"]) == 1
         assert capsys.readouterr().out == "BAD: blue K_3 on {0,1,2}\n"
-
-    def test_size_one_is_a_bad_witness(self, tmp_path, capsys):
-        # a single vertex is a monochromatic K_1, as `solve` finds too
-        path = write_c5(tmp_path)
-        assert main(["verify", str(path), "-s", "1", "-t", "3"]) == 1
-        assert main(["verify", str(path), "-s", "3", "-t", "1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "BAD: red K_1 on {0}\nBAD: blue K_1 on {0}\n"
-        assert captured.err == ""
 
     def test_malformed_document(self, tmp_path, capsys):
         path = tmp_path / "overlap.json"
@@ -325,9 +203,6 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: duplicate key 'n'\n"
 
-    def test_missing_file(self, tmp_path, capsys):
-        assert main(["verify", str(tmp_path / "nope.json"), "-s", "3", "-t", "3"]) == 2
-
     def test_deeply_nested_document(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000, encoding="utf-8")
@@ -348,63 +223,6 @@ class TestVerify:
 
 
 class TestExtend:
-    def test_extends_c5(self, tmp_path, capsys):
-        path = write_c5(tmp_path)
-        out_path = tmp_path / "extended.json"
-        code = main(
-            ["extend", str(path), "--vertex", "0", "-s", "3", "-t", "3",
-             "--out", str(out_path)]
-        )
-        assert code == 0
-        assert capsys.readouterr().out == "deleted edge 0-5\n"
-        doc = ColoringDocument.from_json_text(out_path.read_text(encoding="utf-8"))
-        assert doc.coloring.graph.p == 6
-        assert doc.coloring.graph.deleted == ((0, 5),)
-        assert main(["verify", str(out_path), "-s", "3", "-t", "3"]) == 0
-
-    def test_bad_input_coloring(self, tmp_path, capsys):
-        path = write_red_k3(tmp_path)
-        out_path = tmp_path / "x.json"
-        code = main(
-            ["extend", str(path), "--vertex", "0", "-s", "3", "-t", "3",
-             "--out", str(out_path)]
-        )
-        assert code == 1
-        assert capsys.readouterr().out == "BAD: red K_3 on {0,1,2}\n"
-        assert not out_path.exists()
-
-    def test_size_one_is_a_bad_witness(self, tmp_path, capsys):
-        path = write_c5(tmp_path)
-        out_path = tmp_path / "x.json"
-        code = main(
-            ["extend", str(path), "--vertex", "0", "-s", "1", "-t", "3",
-             "--out", str(out_path)]
-        )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("BAD: red K_1 on {0}\n", "")
-        assert not out_path.exists()
-
-    def test_rejects_deleted_edge_input(self, tmp_path, capsys):
-        coloring = make_coloring(6, {(1, 2)}, deleted=((0, 5),))
-        path = tmp_path / "holed.json"
-        path.write_text(
-            ColoringDocument.from_coloring(coloring).to_json_text(), encoding="utf-8"
-        )
-        code = main(
-            ["extend", str(path), "--vertex", "0", "-s", "3", "-t", "3",
-             "--out", str(tmp_path / "y.json")]
-        )
-        assert code == 2
-
-    def test_rejects_vertex_out_of_range(self, tmp_path, capsys):
-        path = write_c5(tmp_path)
-        code = main(
-            ["extend", str(path), "--vertex", "5", "-s", "3", "-t", "3",
-             "--out", str(tmp_path / "z.json")]
-        )
-        assert code == 2
-
     def test_oversized_walk_refused(self, tmp_path, nothing_walked, capsys):
         path = write_blue_k30(tmp_path)
         out_path = tmp_path / "k31.json"
@@ -420,31 +238,6 @@ class TestExtend:
 
 
 class TestMinDeletions:
-    def test_k6(self, capsys):
-        assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "6"]) == 0
-        assert capsys.readouterr().out == "e = 1\ndeleted: 0-1\n"
-
-    def test_k5_none_needed(self, capsys):
-        assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "5"]) == 0
-        assert capsys.readouterr().out == "e = 0\ndeleted: none\n"
-
-    def test_k9_four_deletions(self, capsys):
-        assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "9"]) == 0
-        assert capsys.readouterr().out == "e = 4\ndeleted: 0-1 2-3 4-5 6-7\n"
-
-    def test_k10_two_deletions(self, capsys):
-        assert main(["min-deletions", "-s", "3", "-t", "4", "-p", "10"]) == 0
-        assert capsys.readouterr().out == "e = 2\ndeleted: 0-1 2-3\n"
-
-    def test_writes_coloring(self, tmp_path, capsys):
-        out = tmp_path / "coloring.json"
-        assert main(
-            ["min-deletions", "-s", "3", "-t", "3", "-p", "6", "--json", str(out)]
-        ) == 0
-        doc = ColoringDocument.from_json_text(out.read_text(encoding="utf-8"))
-        assert doc.coloring.graph.deleted == ((0, 1),)
-        assert is_good(doc.to_coloring(), 3, 3).good
-
     def test_failed_json_write_prints_nothing(self, tmp_path, capsys):
         out = tmp_path / "missing" / "coloring.json"
         assert main(
@@ -453,18 +246,6 @@ class TestMinDeletions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
-
-    def test_exhausted(self, capsys):
-        assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "7", "--max-k", "0"]) == 3
-        assert capsys.readouterr().out == "e > 0\n"
-
-    def test_budget_exceeded(self, capsys):
-        assert main(
-            ["min-deletions", "-s", "3", "-t", "3", "-p", "6", "--budget", "2"]
-        ) == 4
-        assert capsys.readouterr().out == (
-            "BUDGET EXCEEDED: budget of 2 decisions exceeded at n = 6\n"
-        )
 
     def test_oversized_instance_refused(self, nothing_built, capsys):
         assert main(["min-deletions", "-s", "3", "-t", "3", "-p", "2000"]) == 2
@@ -484,32 +265,6 @@ class TestMinDeletions:
         assert capsys.readouterr().out == "e > 0\n"
 
 
-class TestExportDot:
-    def test_writes_dot(self, tmp_path, capsys):
-        path = write_c5(tmp_path)
-        out = tmp_path / "c5.dot"
-        assert main(["export-dot", str(path), "-o", str(out)]) == 0
-        text = out.read_text(encoding="utf-8")
-        assert text.startswith("graph coloring {\n")
-        assert text.count("[color=red]") == 5
-        assert text.count("[color=blue]") == 5
-
-    def test_deleted_edges_omitted(self, tmp_path):
-        coloring = make_coloring(6, {(1, 2)}, deleted=((0, 5),))
-        path = tmp_path / "holed.json"
-        path.write_text(
-            ColoringDocument.from_coloring(coloring).to_json_text(), encoding="utf-8"
-        )
-        out = tmp_path / "holed.dot"
-        assert main(["export-dot", str(path), "-o", str(out)]) == 0
-        assert out.read_text(encoding="utf-8").count(" -- ") == 14
-
-    def test_malformed_document(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text("{", encoding="utf-8")
-        assert main(["export-dot", str(path), "-o", str(tmp_path / "bad.dot")]) == 2
-
-
 class TestPipeline:
     def test_solve_then_verify_round_trip(self, tmp_path, capsys):
         coloring_path = tmp_path / "k9.json"
@@ -520,8 +275,3 @@ class TestPipeline:
         assert main(["verify", str(coloring_path), "-s", "3", "-t", "4"]) == 0
         out = capsys.readouterr().out
         assert out == "SAT\nGOOD\n"
-
-    def test_number_solve_consistency(self, capsys):
-        # r(3,3) = 6 means K_5 is SAT and K_6 is UNSAT
-        assert main(["solve", "-n", "5", "-s", "3", "-t", "3"]) == 0
-        assert main(["solve", "-n", "6", "-s", "3", "-t", "3"]) == 1
