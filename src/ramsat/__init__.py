@@ -19,7 +19,7 @@ from .errors import (
     RamsatError,
     TheoremViolationError,
 )
-from .graphs import DeletedEdgeGraph, Edge, edge, edge_count
+from .graphs import DeletedEdgeGraph, Edge, edge
 from .search import (
     Decision,
     RamseyResult,
@@ -52,7 +52,6 @@ __all__ = [
     "decide",
     "decode",
     "edge",
-    "edge_count",
     "encode",
     "export_dimacs",
     "extend_coloring",

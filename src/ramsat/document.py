@@ -10,11 +10,12 @@ violation is rejected with the broken invariant named.
 from __future__ import annotations
 
 import json
+import math
 from typing import NamedTuple
 
 from .coloring import Color, EdgeColoring
 from .errors import DocumentError
-from .graphs import DeletedEdgeGraph, Edge, edge_count
+from .graphs import DeletedEdgeGraph, Edge
 
 _KEYS = ("n", "deleted_edges", "red", "blue")
 
@@ -83,9 +84,9 @@ class ColoringDocument(NamedTuple):
             if edges != sorted(edges):
                 raise DocumentError(f"{name} is not sorted lexicographically")
         # counted before K_n's edge list is built, so a huge n is cheap to refuse
-        if len(seen) != edge_count(n):
+        if len(seen) != math.comb(n, 2):
             raise DocumentError(
-                f"lists cover {len(seen)} edges but K_{n} has {edge_count(n)}"
+                f"lists cover {len(seen)} edges but K_{n} has {math.comb(n, 2)}"
             )
         assignment = dict.fromkeys(lists["red"], Color.RED)
         assignment.update(dict.fromkeys(lists["blue"], Color.BLUE))

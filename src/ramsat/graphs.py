@@ -33,13 +33,6 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def edge_count(p: int) -> int:
-    """Number of edges of K_p."""
-    if p < 0:
-        raise ValueError("vertex count must be non-negative")
-    return math.comb(p, 2)
-
-
 def deletion_classes(p: int) -> Iterator[list[tuple[Edge, ...]]]:
     """Yield level k = 0, 1, ..., C(p,2) of K_p's k-edge sets, one per class.
 

@@ -7,7 +7,8 @@ for the small classical numbers, and one decision budget bounds the walk.
 
 from __future__ import annotations
 
-from itertools import chain, count, islice
+import math
+from itertools import count, islice
 from typing import NamedTuple, Optional
 
 from .cnf import CnfFormula, decode, encode, symmetry_break
@@ -20,7 +21,6 @@ from .graphs import (
     check_size,
     deletion_classes,
     edge,
-    edge_count,
 )
 
 
@@ -173,18 +173,22 @@ def min_deletions(
     it lies in a class whose representative comes earlier still, and that
     representative was not colorable.  It is solved as the same formula a
     scan of all C(m,k) sets would solve, so the coloring is the same too.
-    Returns None when k_max deletions are still not enough, that is
-    e > k_max, and raises ValueError, before any class is built, when
-    `check_size` refuses K_p.
+    Returns None when e > k_max.  Raises ValueError, before any class is
+    built, when `check_size` refuses K_p, and BudgetExceededError when a
+    solve at level k runs out of budget, naming the bound e > k-1 if k > 0.
     """
-    m = edge_count(p)
+    m = math.comb(p, 2)
     if not 0 <= k_max <= m:
         raise ValueError(f"k_max must be between 0 and {m}")
     check_size(p, s, t)
     if p and min(s, t) == 1:
         return None  # any vertex is a monochromatic K_1, whatever is deleted
-    for deleted in chain.from_iterable(islice(deletion_classes(p), k_max + 1)):
-        coloring = good_coloring(p, s, t, deleted, budget=budget)
-        if coloring is not None:
-            return coloring
+    for k, level in enumerate(islice(deletion_classes(p), k_max + 1)):
+        for deleted in level:
+            try:
+                coloring = good_coloring(p, s, t, deleted, budget=budget)
+            except BudgetExceededError:
+                raise budget_exceeded(budget, p, f"; e > {k - 1}" if k else "") from None
+            if coloring is not None:
+                return coloring
     return None

@@ -1,9 +1,13 @@
-"""Exhaustive reference oracle for the tests.
+"""Independent references for the tests, shared by every test file.
 
-`brute_force_good_coloring` enumerates raw colorings and shares no code
-with the CNF encoding or the solver, so the tests compare both against it.
-`KNOWN_RAMSEY` holds Ramsey numbers from the literature, so tests can
-derive expected answers without the solver.
+`brute_force_good_coloring` enumerates raw colorings, `every_coloring`
+yields all colorings of K_p, `naive_is_good` checks goodness from the
+definition, and `satisfies` evaluates a clause set under an assignment
+word.  None of them shares code with the CNF encoding, the solver or the
+library verifier, so the tests compare all three against them; a test
+imports them and keeps no copy of its own.  `KNOWN_RAMSEY` holds Ramsey
+numbers from the literature, so tests can derive expected answers
+without the solver.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Optional
 
+from ramsat.cnf import CnfFormula
 from ramsat.coloring import Color, EdgeColoring
 from ramsat.errors import BudgetExceededError
 from ramsat.graphs import DeletedEdgeGraph, subset_is_clique
@@ -35,6 +40,30 @@ def every_coloring(p: int) -> Iterator[EdgeColoring]:
             graph,
             {e: Color.RED if word >> i & 1 else Color.BLUE for i, e in enumerate(present)},
         )
+
+
+def naive_is_good(coloring: EdgeColoring, s: int, t: int) -> bool:
+    """Definition-level re-check, sharing nothing with the library verifier."""
+    graph = coloring.graph
+    deleted = set(graph.deleted)
+    for k, color in ((s, Color.RED), (t, Color.BLUE)):
+        for subset in combinations(range(graph.p), k):
+            pairs = list(combinations(subset, 2))
+            if any(pair in deleted for pair in pairs):
+                continue
+            if all(coloring.assignment[pair] is color for pair in pairs):
+                return False
+    return True
+
+
+def satisfies(formula: CnfFormula, word: int) -> bool:
+    """Evaluate the clause set under assignment bit i-1 of word for var i."""
+
+    def lit_true(lit: int) -> bool:
+        value = bool(word >> (abs(lit) - 1) & 1)
+        return value if lit > 0 else not value
+
+    return all(any(lit_true(lit) for lit in clause) for clause in formula.clauses)
 
 
 def brute_force_good_coloring(

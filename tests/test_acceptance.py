@@ -11,14 +11,9 @@ from __future__ import annotations
 import subprocess
 import sys
 import time
-from itertools import combinations
-
-import pytest
 
 from ramsat import (
-    Color,
     DeletedEdgeGraph,
-    EdgeColoring,
     SolveStatus,
     decode,
     encode,
@@ -28,7 +23,13 @@ from ramsat import (
     ramsey_number,
     solve,
 )
-from .oracle import brute_force_good_coloring, every_coloring
+from .cli_corpus import Outcome, run_through
+from .oracle import (
+    brute_force_good_coloring,
+    every_coloring,
+    naive_is_good,
+    satisfies,
+)
 
 CLI = [sys.executable, "-m", "ramsat"]
 
@@ -40,24 +41,8 @@ def report(name: str, passed: bool, detail: str = "") -> None:
     assert passed, f"{name}{suffix}"
 
 
-def run_cli(args: list[str], cwd=None) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        CLI + args, capture_output=True, text=True, cwd=cwd, timeout=300
-    )
-
-
-def naive_good(coloring: EdgeColoring, s: int, t: int) -> bool:
-    """Definition-level goodness check used as the oracle throughout."""
-    graph = coloring.graph
-    deleted = set(graph.deleted)
-    for k, color in ((s, Color.RED), (t, Color.BLUE)):
-        for subset in combinations(range(graph.p), k):
-            pairs = list(combinations(subset, 2))
-            if any(pair in deleted for pair in pairs):
-                continue
-            if all(coloring.assignment[pair] is color for pair in pairs):
-                return False
-    return True
+def run_cli(args: list[str]) -> subprocess.CompletedProcess:
+    return subprocess.run(CLI + args, capture_output=True, text=True, timeout=300)
 
 
 def test_criterion_1_r33_under_a_second():
@@ -80,7 +65,7 @@ def test_criterion_2_single_deletion_suffices_at_6():
     # independent confirmation on the reported graph: 2^14 enumeration
     graph = DeletedEdgeGraph(6, deleted)
     oracle = brute_force_good_coloring(graph, 3, 3)
-    ok = ok and oracle is not None and naive_good(oracle, 3, 3)
+    ok = ok and oracle is not None and naive_is_good(oracle, 3, 3)
     # and zero deletions really do not suffice
     ok = ok and brute_force_good_coloring(DeletedEdgeGraph(6), 3, 3) is None
     elapsed = time.perf_counter() - start
@@ -94,12 +79,12 @@ def test_criterion_2_single_deletion_suffices_at_6():
 
 def test_criterion_3_extension_works_from_every_good_k5_coloring():
     start = time.perf_counter()
-    good_colorings = [c for c in every_coloring(5) if naive_good(c, 3, 3)]
+    good_colorings = [c for c in every_coloring(5) if naive_is_good(c, 3, 3)]
     failures = 0
     for coloring in good_colorings:
         for vertex in range(5):
             extended = extend_coloring(coloring, vertex)
-            if not is_good(extended, 3, 3).good or not naive_good(extended, 3, 3):
+            if not is_good(extended, 3, 3).good or not naive_is_good(extended, 3, 3):
                 failures += 1
     elapsed = time.perf_counter() - start
     # the good (3,3)-colorings of K_5 are exactly the 12 red 5-cycles
@@ -152,7 +137,7 @@ def test_criterion_6_solver_matches_oracle_with_deletions():
                     mismatches.append((n, deleted, s, t))
                 elif result.status is SolveStatus.SAT:
                     coloring = decode(result.model, graph)
-                    if not naive_good(coloring, s, t):
+                    if not naive_is_good(coloring, s, t):
                         mismatches.append((n, deleted, s, t))
     elapsed = time.perf_counter() - start
     # valid (n, deletion set) pairs: 1 at n=2, 2 at n=3, 3 each at n=4..6
@@ -171,11 +156,7 @@ def test_criterion_7_encoding_soundness_exhaustive_k5():
     failures = 0
     for word in range(1 << 10):
         model = {i + 1: bool(word >> i & 1) for i in range(10)}
-        satisfied = all(
-            any((lit > 0) == model[abs(lit)] for lit in clause)
-            for clause in formula.clauses
-        )
-        if satisfied != naive_good(decode(model, graph), 3, 3):
+        if satisfies(formula, word) != naive_is_good(decode(model, graph), 3, 3):
             failures += 1
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 1.0
@@ -198,43 +179,32 @@ def test_criterion_8_degenerate_clique_sizes():
 
 
 def test_criterion_9_byte_identical_reruns(tmp_path):
-    def run_all(tag: str) -> dict[str, bytes]:
-        outputs: dict[str, bytes] = {}
-        d = tmp_path / tag
-        d.mkdir()
-        commands = {
-            "number33": ["number", "-s", "3", "-t", "3",
-                         "--witness", str(d / "w33.json")],
-            "number34": ["number", "-s", "3", "-t", "4",
-                         "--witness", str(d / "w34.json")],
-            "mindel": ["min-deletions", "-s", "3", "-t", "3", "-p", "6",
-                       "--json", str(d / "mindel.json")],
-            "solve": ["solve", "-n", "6", "-s", "3", "-t", "3",
-                      "--delete", "0-5",
-                      "--json", str(d / "coloring.json"),
-                      "--dimacs", str(d / "formula.cnf")],
-        }
-        for name, args in commands.items():
-            proc = run_cli(args)
-            outputs[f"{name}:stdout"] = proc.stdout.encode()
-            outputs[f"{name}:code"] = str(proc.returncode).encode()
-        for artifact in sorted(d.iterdir()):
-            outputs[f"file:{artifact.name}"] = artifact.read_bytes()
-        dot = run_cli(["export-dot", str(d / "coloring.json"),
-                       "-o", str(d / "coloring.dot")])
-        outputs["dot:code"] = str(dot.returncode).encode()
-        outputs["file:coloring.dot"] = (d / "coloring.dot").read_bytes()
-        return outputs
+    # each digest covers the exit code, stdout, stderr and every file left
+    # in the run's fresh directory: the corpus seeds and what it wrote
+    commands = [
+        "number -s 3 -t 3 --witness w33.json",
+        "number -s 3 -t 4 --witness w34.json",
+        "min-deletions -s 3 -t 3 -p 6 --json mindel.json",
+        "solve -n 6 -s 3 -t 3 --delete 0-5 --json coloring.json --dimacs formula.cnf",
+        "export-dot coloring.json -o coloring.dot",
+    ]
 
-    first = run_all("first")
-    second = run_all("second")
-    differing = sorted(
-        key for key in first.keys() | second.keys()
-        if first.get(key) != second.get(key)
-    )
-    ok = not differing and len(first) >= 14
+    def run_all(tag: str) -> list[Outcome]:
+        outcomes = []
+        for i, argv in enumerate(commands):
+            workdir = tmp_path / f"{tag}{i}"
+            workdir.mkdir()
+            outcomes.append(run_through(CLI, argv, workdir))
+        return outcomes
+
+    first, second = run_all("first"), run_all("second")
+    differing = [
+        argv for argv, a, b in zip(commands, first, second) if a.digest != b.digest
+    ]
+    failed = [argv for argv, outcome in zip(commands, first) if outcome.exit_code]
+    ok = not differing and not failed
     report(
         "criterion 9: consecutive runs byte-identical (stdout, JSON, DIMACS, DOT)",
         ok,
-        f"{len(first)} artifacts compared, differing={differing}",
+        f"{len(commands)} commands compared, differing={differing}, failed={failed}",
     )

@@ -12,11 +12,7 @@ its digests were made with), and properties that span commands.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -37,18 +33,6 @@ def write_blue_k30(tmp_path):
     doc = ColoringDocument.from_coloring(make_coloring(30, set()))
     path.write_text(doc.to_json_text(), encoding="utf-8")
     return path
-
-
-def test_python_dash_m_ramsat_runs_the_cli():
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "ramsat", "number", "-s", "3", "-t", "3"],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert (proc.returncode, proc.stdout) == (0, "r(3,3) = 6\n")
 
 
 class TestNumber:

@@ -21,6 +21,7 @@ from ramsat import (
     solve,
 )
 from ramsat.cnf import symmetry_break
+from .oracle import satisfies
 
 K3_DIMACS = """c var 1 = edge (0,1)
 c var 2 = edge (0,2)
@@ -29,16 +30,6 @@ p cnf 3 2
 -1 -2 -3 0
 1 2 3 0
 """
-
-
-def satisfies(formula: CnfFormula, word: int) -> bool:
-    """Evaluate the clause set under assignment bit i-1 of word for var i."""
-
-    def lit_true(lit: int) -> bool:
-        value = bool(word >> (abs(lit) - 1) & 1)
-        return value if lit > 0 else not value
-
-    return all(any(lit_true(lit) for lit in clause) for clause in formula.clauses)
 
 
 class TestCnfFormula:

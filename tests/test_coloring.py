@@ -22,21 +22,7 @@ from ramsat import (
 import ramsat.coloring
 import ramsat.graphs
 from .conftest import C5_RED, make_coloring
-from .oracle import brute_force_good_coloring
-
-
-def naive_is_good(coloring: EdgeColoring, s: int, t: int) -> bool:
-    """Definition-level re-check, sharing nothing with the library verifier."""
-    graph = coloring.graph
-    deleted = set(graph.deleted)
-    for k, color in ((s, Color.RED), (t, Color.BLUE)):
-        for subset in combinations(range(graph.p), k):
-            pairs = list(combinations(subset, 2))
-            if any(pair in deleted for pair in pairs):
-                continue
-            if all(coloring.assignment[pair] is color for pair in pairs):
-                return False
-    return True
+from .oracle import brute_force_good_coloring, every_coloring, naive_is_good
 
 
 def random_coloring(rng: random.Random, graph: DeletedEdgeGraph) -> EdgeColoring:
@@ -156,14 +142,6 @@ class TestIsGood:
         with pytest.raises(ValueError, match="over the limit"):
             is_good(make_coloring(30, set()), s, t)
 
-    def test_degenerate_sizes_rejected(self, c5_coloring):
-        for s, t in ((0, 3), (3, 0)):
-            with pytest.raises(ValueError):
-                is_good(c5_coloring, s, t)
-        # a single vertex is a monochromatic K_1 of either color
-        assert is_good(c5_coloring, 1, 3).witness == (Color.RED, (0,))
-        assert is_good(c5_coloring, 3, 1).witness == (Color.BLUE, (0,))
-
     def test_witness_is_sound_on_random_colorings(self):
         rng = random.Random(20260819)
         graphs = [
@@ -217,22 +195,9 @@ class TestBruteForce:
         assert naive_is_good(coloring, 3, 3)
 
     def test_returns_first_in_binary_order(self):
-        # independent scan: same word order, definition-level goodness check
-        graph = DeletedEdgeGraph(4)
-        present = graph.present_edges()
-        expected = None
-        for word in range(1 << 6):
-            candidate = EdgeColoring(
-                graph,
-                {
-                    e: Color.RED if word >> i & 1 else Color.BLUE
-                    for i, e in enumerate(present)
-                },
-            )
-            if naive_is_good(candidate, 3, 3):
-                expected = candidate
-                break
-        assert brute_force_good_coloring(graph, 3, 3) == expected
+        # every_coloring scans the same word order; goodness by definition
+        expected = next(c for c in every_coloring(4) if naive_is_good(c, 3, 3))
+        assert brute_force_good_coloring(DeletedEdgeGraph(4), 3, 3) == expected
 
     def test_impossible_kind(self):
         # (2,2): any colored edge is a monochromatic K_2

@@ -6,7 +6,7 @@ from itertools import combinations, islice, permutations
 
 import pytest
 
-from ramsat import DeletedEdgeGraph, edge, edge_count
+from ramsat import DeletedEdgeGraph, edge
 from ramsat.graphs import deletion_classes, subset_is_clique
 
 
@@ -22,15 +22,6 @@ class TestEdge:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             edge(-1, 2)
-
-
-class TestEdgeCount:
-    def test_small_values(self):
-        assert [edge_count(p) for p in range(7)] == [0, 0, 1, 3, 6, 10, 15]
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            edge_count(-1)
 
 
 class TestDeletedEdgeGraph:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from itertools import combinations, islice, product
 
 import pytest
@@ -111,11 +112,6 @@ class TestRamseyNumber:
         result = ramsey_number(1, t)
         assert result.p == 1
         assert result.witness == EdgeColoring(DeletedEdgeGraph(0), {})
-
-    @pytest.mark.parametrize("t", [2, 3, 4, 5])
-    def test_two_clique_size(self, t):
-        # avoiding red K_2 means all blue, so only K_{t-1} survives
-        assert ramsey_number(2, t).p == t
 
     def test_symmetry_23(self):
         assert ramsey_number(2, 3).p == ramsey_number(3, 2).p == 3
@@ -290,6 +286,28 @@ class TestMinDeletions:
     def test_exhausted(self):
         # K_7 itself has no good coloring: e > 0
         assert min_deletions(3, 3, 7, 0) is None
+
+    def test_budget_cut_names_a_bound_that_never_falls(self):
+        # K_10 at (3,4) needs e = 2.  A run cut at level k has proven
+        # e > k-1, so the least e a run allows grows with the budget, and
+        # no cut run claims more than e > 1
+        least_e = []
+        for budget in range(1, 2000, 50):
+            try:
+                coloring = min_deletions(3, 4, 10, 45, budget=budget)
+            except BudgetExceededError as exc:
+                cut = re.fullmatch(
+                    rf"budget of {budget} decisions exceeded at n = 10(; e > (\d+))?",
+                    str(exc),
+                )
+                assert cut is not None
+                bound = int(cut[2]) if cut[1] else -1
+                assert bound <= 2 - 1
+                least_e.append(bound + 1)
+            else:
+                least_e.append(len(coloring.graph.deleted))
+        assert least_e == sorted(least_e)
+        assert set(least_e) == {0, 1, 2}
 
     def test_monotone_in_p(self):
         counts = [
